@@ -51,8 +51,9 @@ class KernelParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise DomainError(f"KernelParams requires nu > 0, got {self.nu}")
+        if not (self.nu > 0 and math.isfinite(self.nu)):
+            raise DomainError(
+                f"KernelParams requires finite nu > 0, got {self.nu}")
         if not np.isfinite(self.lam):
             raise DomainError(f"KernelParams requires finite lam, got {self.lam}")
 
@@ -76,6 +77,9 @@ class TwoPointQuery:
     def __post_init__(self):
         if not (self.t > 0):
             raise DomainError(f"TwoPointQuery requires t > 0, got {self.t}")
+        if not all(map(math.isfinite, (self.t, self.x1, self.x2))):
+            raise DomainError("TwoPointQuery requires finite t, x1 and x2, "
+                              f"got ({self.t}, {self.x1}, {self.x2})")
 
     @property
     def x_bar(self) -> float:

@@ -24,7 +24,17 @@ The split form is the default: the covariance kernel decays exponentially
 in the separation variable, which conditions the quadrature much better
 than the full kernel.  Double integrals run in rotated coordinates
 ``zbar = (z1+z2)/2`` (outer) and ``dz = z2-z1`` (inner), where the kernel
-factors into a Gaussian in ``zbar`` times a function of ``|dz|``.
+factors into a Gaussian in ``zbar`` times a function of ``|dz|`` with one
+kink, at ``dz = 0``.
+
+The two forms go through independent rules, so agreement between them
+means something.  The split form uses panelled Gauss-Legendre
+(:func:`~she_moments.quadrature.integrate_panels`) on whole arrays: a
+panel edge sits on the kink (``dz = 0``, or ``z = atom`` for an
+atom-density term), and the window comes from the kernel's decay scales
+and the measure's support radius or growth certificate.  The direct form
+uses nested adaptive QUADPACK with scalar callbacks.  Sums over atoms are
+one array kernel call under both.
 
 Measures parse from a declarative JSON object::
 
@@ -45,11 +55,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InadmissibleMeasureError
+from .errors import DomainError, InadmissibleMeasureError, QuadratureError
 from .gaussian import heat_kernel
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       two_point_kernel)
-from .quadrature import integrate_1d
+from .quadrature import integrate_1d, integrate_panels
 
 __all__ = [
     "GrowthCertificate", "InitialMeasure", "DiracAtoms", "LebesgueScaled",
@@ -70,8 +80,10 @@ class GrowthCertificate:
     def __post_init__(self):
         if not (self.amplitude >= 0 and np.isfinite(self.amplitude)):
             raise DomainError("certificate amplitude must be finite and >= 0")
-        if self.degree < 0:
-            raise DomainError("certificate degree must be >= 0")
+        if not (self.degree >= 0 and np.isfinite(self.degree)):
+            raise DomainError("certificate degree must be finite and >= 0")
+        if not np.isfinite(self.rate):
+            raise DomainError("certificate rate must be finite")
         if not (0 <= self.power <= 2):
             raise DomainError("certificate power must lie in [0, 2]")
 
@@ -112,6 +124,9 @@ class DiracAtoms(InitialMeasure):
                            tuple((float(x), float(m)) for x, m in self.atoms))
         if not self.atoms:
             raise DomainError("DiracAtoms requires at least one atom")
+        if not all(map(math.isfinite, np.ravel(self.atoms))):
+            raise InadmissibleMeasureError(
+                "DiracAtoms requires finite locations and masses")
 
     @property
     def is_nonnegative(self) -> bool:
@@ -127,6 +142,11 @@ class DiracAtoms(InitialMeasure):
 @dataclass(frozen=True)
 class LebesgueScaled(InitialMeasure):
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.scale):
+            raise InadmissibleMeasureError(
+                f"LebesgueScaled requires a finite scale, got {self.scale}")
 
     @property
     def is_nonnegative(self) -> bool:
@@ -144,8 +164,9 @@ class DensityMeasure(InitialMeasure):
     """Absolutely continuous measure ``f(x) dx`` with a growth certificate.
 
     ``nonnegative`` is declared, not verified.  ``support_radius`` (optional)
-    bounds where the density is non-negligible; used only for simulation
-    grid sizing.
+    bounds where the density is non-negligible; it sizes simulation grids
+    and the split-form quadrature window, which otherwise comes from the
+    certificate.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -205,6 +226,10 @@ def gaussian_density(mean: float, var: float, mass: float = 1.0) -> DensityMeasu
     """Gaussian density ``mass * N(mean, var)`` with a bounded certificate."""
     if not (var > 0):
         raise DomainError(f"gaussian_density requires var > 0, got {var}")
+    if not all(map(math.isfinite, (mean, var, mass))):
+        raise InadmissibleMeasureError(
+            f"gaussian_density requires finite mean, var and mass, got "
+            f"({mean}, {var}, {mass})")
     norm = mass / math.sqrt(2.0 * math.pi * var)
 
     def f(x):
@@ -241,6 +266,11 @@ def parse_measure(obj: dict) -> InitialMeasure:
 # Heat smoothing (mean field)
 # ---------------------------------------------------------------------------
 
+def _atom_arrays(mu: DiracAtoms) -> tuple[np.ndarray, np.ndarray]:
+    locs, masses = np.array(mu.atoms, dtype=float).T
+    return locs, masses
+
+
 def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
     """J0(t, x): the heat semigroup applied to the initial measure.
 
@@ -248,7 +278,8 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
     densities.
     """
     if isinstance(mu, DiracAtoms):
-        return float(sum(m * heat_kernel(t, x - loc, nu) for loc, m in mu.atoms))
+        locs, masses = _atom_arrays(mu)
+        return float(masses @ heat_kernel(t, x - locs, nu))
     if isinstance(mu, LebesgueScaled):
         if not (t > 0 and nu > 0):
             raise DomainError("mean_field requires t > 0 and nu > 0")
@@ -277,18 +308,26 @@ def _density_callable(mu: InitialMeasure):
     raise DomainError(f"measure {type(mu).__name__} has no density")
 
 
+def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
+              kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
+    """Σ m1 m2 kernel(x1, x2) over all atom pairs, in one kernel call."""
+    x1, m1 = _atom_arrays(mu1)
+    x2, m2 = _atom_arrays(mu2)
+    return float(m1 @ kernel(x1[:, None], x2[None, :]) @ m2)
+
+
 def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
                         kernel: Callable[[float, float], float],
                         abs_tol: float, rel_tol: float) -> float:
-    """∬ mu1(dz1) mu2(dz2) kernel(z1, z2) for primitive (non-sum) measures.
+    """∬ mu1(dz1) mu2(dz2) kernel(z1, z2) for primitive (non-sum) measures
+    by nested adaptive quadrature: the direct-form route.
 
     Atomic factors reduce to sums; everything else integrates in rotated
     coordinates (outer zbar, inner dz).
     """
     a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
     if a1 and a2:
-        return float(sum(m1 * m2 * kernel(x1, x2)
-                         for x1, m1 in mu1.atoms for x2, m2 in mu2.atoms))
+        return _atom_sum(mu1, mu2, kernel)
     if a1 or a2:
         atoms = mu1.atoms if a1 else mu2.atoms
         dens = _density_callable(mu2 if a1 else mu1)
@@ -319,14 +358,191 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
                         abs_tol=abs_tol, rel_tol=rel_tol)
 
 
-def _bilinear(mu: InitialMeasure, kernel: Callable[[float, float], float],
-              abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> float:
-    """∬ mu(dz1) mu(dz2) kernel(z1, z2), expanding sums bilinearly."""
+# Panel windows drop what lies beyond e^-_TAIL (~4e-18) of a factor's peak.
+_TAIL = 40.0
+# Fewest panels across a window.
+_MIN_PANELS = 6
+
+
+def _tail_radius(log_ratio: Callable[[float], float], scale: float) -> float:
+    """A radius r with ``log_ratio(r) <= -_TAIL``, within 0.1% of the
+    smallest one, for a ``log_ratio`` that rises at most once, then falls
+    for good."""
+    hi = scale
+    for _ in range(200):
+        if not log_ratio(hi) > -_TAIL:
+            break
+        hi *= 2.0
+    else:
+        raise QuadratureError("cannot bound the integrand's tail",
+                              achieved=np.inf)
+    lo = 0.0 if hi == scale else 0.5 * hi
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        if log_ratio(mid) > -_TAIL:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _density_view(mu: InitialMeasure):
+    """(array density, growth certificate, support radius or None) of a
+    non-atomic primitive measure."""
+    if isinstance(mu, LebesgueScaled):
+        c = mu.scale
+        return (lambda z: c), GrowthCertificate(abs(c)), None
+    if isinstance(mu, DensityMeasure):
+        return mu.f, mu.certificate, mu.support_radius
+    raise DomainError(f"measure {type(mu).__name__} has no density")
+
+
+def _log_growth(certs: Sequence[GrowthCertificate], x0: float,
+                r: float) -> float:
+    """log(envelope(x0 + r) / envelope(x0)) summed over the certificates."""
+    x = x0 + r
+    return sum(c.degree * math.log1p(r / (1.0 + x0))
+               + (c.rate * (x ** c.power - x0 ** c.power) if c.rate else 0.0)
+               for c in certs)
+
+
+def _graded_edges(lo: float, hi: float, kink: float, first: float,
+                  widest: float) -> np.ndarray:
+    """Panel edges on [lo, hi]: an edge at ``kink`` (clipped into the
+    window), then panel widths ``first, 2 first, 4 first, ...`` away from
+    it on both sides, none wider than ``widest``."""
+    kink = min(max(kink, lo), hi)
+    edges = [kink]
+    for end, sign in ((hi, 1.0), (lo, -1.0)):
+        x, width = kink, min(first, widest)
+        while sign * (end - x) > 0:
+            x = x + sign * width
+            if sign * (x - end) >= -0.25 * width:
+                x = end
+            edges.append(x)
+            width = min(2.0 * width, widest)
+    return np.unique(edges)
+
+
+class _SplitKernelScales:
+    """Decay of the covariance kernel K_dag(t, x1 - z1, x2 - z2, x1 - x2).
+
+    In rotated coordinates the kernel is (lam^2 / 2 nu) G_{nu/2}(t, xbar -
+    zbar) exp(c(w)) Phi(d(w)) with w = |dx| + |dz| (see
+    ``kernels.two_point_kernel_centered``): a Gaussian of width
+    ``sigma = sqrt(nu t / 2)`` in zbar, times a function of |dz| with a kink
+    at dz = 0 that falls off at least like exp(-lam^2 |dz| / 2 nu) and, past
+    w = lam^2 t, like a Gaussian of width ``s = sqrt(2 nu t)``.
+    """
+
+    def __init__(self, q: TwoPointQuery, params: KernelParams):
+        nu, l2, t = params.nu, params.lam2, q.t
+        self.sigma = math.sqrt(0.5 * nu * t)
+        self.s = math.sqrt(2.0 * nu * t)
+        self.rate = l2 / (2.0 * nu)
+        self.d0 = (l2 * t - abs(q.dx)) / self.s
+        self.first = 0.5 * (min(self.s, 1.0 / self.rate) if self.rate
+                            else self.s)
+
+    def log_bar(self, r: float) -> float:
+        """log of the zbar factor at offset r from xbar, over its peak."""
+        return -0.5 * (r / self.sigma) ** 2
+
+    def log_sep(self, r: float) -> float:
+        """Upper bound of log K(|dz| = r) / K(dz = 0).  exp(-rate r) bounds
+        the exponential; for Phi, d/du -log Phi(-u) >= max(u, 0)."""
+        d0 = self.d0
+        gauss = max(0.0, r / self.s - d0) ** 2 - max(0.0, -d0) ** 2
+        return -self.rate * r - 0.5 * gauss
+
+
+def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
+                params: KernelParams, abs_tol: float,
+                rel_tol: float) -> tuple[float, float]:
+    """``(value, error estimate)`` of ∬ mu1(dz1) mu2(dz2) K_dag(t, x1 - z1,
+    x2 - z2, x1 - x2) for primitive measures: an array atom sum, or
+    panelled Gauss-Legendre over the density variables.  The split-form
+    route."""
+    def kernel(z1, z2):
+        return covariance_kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
+                                 params)
+
+    a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
+    if a1 and a2:
+        return _atom_sum(mu1, mu2, kernel), 0.0
+    sc = _SplitKernelScales(q, params)
+    if a1 or a2:
+        dens, cert, radius = _density_view(mu2 if a1 else mu1)
+        total = err = 0.0
+        for loc, m in (mu1 if a1 else mu2).atoms:
+            # The density variable z: kink at z = loc, zbar Gaussian
+            # (width 2 sigma in z) centred at z = 2 xbar - loc.
+            centre = 2.0 * q.x_bar - loc
+            w_sep = _tail_radius(
+                lambda r: sc.log_sep(r) + _log_growth([cert], abs(loc), r),
+                sc.s)
+            w_bar = 2.0 * _tail_radius(
+                lambda r: sc.log_bar(r)
+                + _log_growth([cert], abs(centre), 2.0 * r), sc.sigma)
+            lo = max(loc - w_sep, centre - w_bar)
+            hi = min(loc + w_sep, centre + w_bar)
+            if radius is not None:
+                lo, hi = max(lo, -radius), min(hi, radius)
+            if not lo < hi:
+                continue
+            edges = _graded_edges(lo, hi, loc, sc.first,
+                                  min(2.0 * sc.s, (hi - lo) / _MIN_PANELS))
+            if a1:
+                def integrand(z, loc=loc):
+                    return dens(z) * kernel(loc, z)
+            else:
+                def integrand(z, loc=loc):
+                    return dens(z) * kernel(z, loc)
+            val, e = integrate_panels(integrand, edges, abs_tol=abs_tol,
+                                      rel_tol=rel_tol)
+            total += m * val
+            err += abs(m) * e
+        return total, err
+
+    (f1, c1, r1), (f2, c2, r2) = _density_view(mu1), _density_view(mu2)
+    certs = [c1, c2]
+    x0 = abs(q.x_bar)
+    w_sep = _tail_radius(lambda r: sc.log_sep(r)
+                         + _log_growth(certs, x0, 0.5 * r), sc.s)
+    w_bar = _tail_radius(lambda r: sc.log_bar(r)
+                         + _log_growth(certs, x0, r + 0.5 * w_sep), sc.sigma)
+    bar_lo, bar_hi = q.x_bar - w_bar, q.x_bar + w_bar
+    if r1 is not None and r2 is not None:
+        # |z1| <= r1 and |z2| <= r2 bound |zbar| and |dz|.
+        bar_lo = max(bar_lo, -0.5 * (r1 + r2))
+        bar_hi = min(bar_hi, 0.5 * (r1 + r2))
+        w_sep = min(w_sep, r1 + r2)
+    if not bar_lo < bar_hi:
+        return 0.0, 0.0
+    bar_step = min(3.0 * sc.sigma, (bar_hi - bar_lo) / _MIN_PANELS)
+    bar_edges = _graded_edges(bar_lo, bar_hi, q.x_bar, bar_step, bar_step)
+    sep_edges = _graded_edges(-w_sep, w_sep, 0.0, sc.first,
+                              min(2.0 * sc.s, 2.0 * w_sep / _MIN_PANELS))
+
+    def integrand(zbar, dz):
+        z1 = zbar - 0.5 * dz
+        z2 = zbar + 0.5 * dz
+        return f1(z1) * f2(z2) * kernel(z1, z2)
+
+    return integrate_panels(integrand, bar_edges, sep_edges,
+                            abs_tol=abs_tol, rel_tol=rel_tol)
+
+
+def _bilinear(mu: InitialMeasure,
+              primitive: Callable[[InitialMeasure, InitialMeasure], float]
+              ) -> float:
+    """∬ mu(dz1) mu(dz2) kernel(z1, z2), expanding sums bilinearly into
+    ``primitive(term1, term2)``."""
     terms = mu.primitive_terms()
     total = 0.0
     for t1 in terms:
         for t2 in terms:
-            total += _bilinear_primitive(t1, t2, kernel, abs_tol, rel_tol)
+            total += primitive(t1, t2)
     return total
 
 
@@ -335,21 +551,22 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
     """E[u(t,x1) u(t,x2)] for a general admissible initial measure.
 
     ``formula="split"`` (default) evaluates J0*J0 plus the covariance-kernel
-    integral; ``formula="direct"`` integrates the full two-point kernel.
-    The two must agree; cross-checking them is the point of keeping both.
+    integral by panelled Gauss-Legendre; ``formula="direct"`` integrates the
+    full two-point kernel by nested adaptive QUADPACK.  The two must agree;
+    cross-checking them is the point of keeping both.
     """
+    abs_tol, rel_tol = 1e-10, 1e-9
     if formula == "split":
-        def kernel(z1: float, z2: float) -> float:
-            return float(covariance_kernel(q.t, q.x1 - z1, q.x2 - z2,
-                                           q.x1 - q.x2, params))
         j0j0 = (mean_field(q.t, q.x1, mu, params.nu)
                 * mean_field(q.t, q.x2, mu, params.nu))
-        return j0j0 + _bilinear(mu, kernel)
+        return j0j0 + _bilinear(mu, lambda m1, m2: _panel_pair(
+            m1, m2, q, params, abs_tol, rel_tol)[0])
     if formula == "direct":
-        def kernel(z1: float, z2: float) -> float:
-            return float(two_point_kernel(q.t, q.x1 - z1, q.x2 - z2,
-                                          q.x1 - q.x2, params))
-        return _bilinear(mu, kernel)
+        def kernel(z1, z2):
+            return two_point_kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
+                                    params)
+        return _bilinear(mu, lambda m1, m2: _bilinear_primitive(
+            m1, m2, kernel, abs_tol, rel_tol))
     raise DomainError(f"unknown two_point formula {formula!r}")
 
 

@@ -263,15 +263,16 @@ def _run_spde_batch(grid: SpdeGrid, u0_field: np.ndarray, rho: RhoSpec,
     chunk = max(1, 65536 // nx)
 
     lap = np.empty_like(u)
+    # One noise buffer for the whole batch, filled in place path by path.
+    noise = (None if rho.is_zero
+             else np.empty((n_paths, min(chunk, n_steps), nx)))
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             this_chunk = min(chunk, n_steps - step)
-            if rho.is_zero:
-                noise = None
-            else:
-                noise = np.stack([g.standard_normal((this_chunk, nx))
-                                  for g in gens])
+            if noise is not None:
+                for p, g in enumerate(gens):
+                    g.standard_normal(out=noise[p, :this_chunk])
             for k in range(this_chunk):
                 lap[:, 1:-1] = u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]
                 if dirichlet:

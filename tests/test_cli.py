@@ -251,3 +251,50 @@ class TestLocalTimeCommand:
         code, _, _ = run_cli(capsys, "local-time", "sample", "--t", "1",
                              "--a", "1", "--n", "0")
         assert code == 2
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("measure,extra,want", [
+        ({"type": "lebesgue", "scale": float("nan")}, [], 4),
+        ({"type": "lebesgue", "scale": 1.0}, ["--nu", "inf"], 3),
+        ({"type": "gaussian", "mean": 0.0, "var": float("inf")}, [], 4),
+        ({"type": "atoms", "atoms": [[0.0, float("inf")]]}, [], 4),
+        ({"type": "lebesgue", "scale": 1.0}, ["--x1", "nan"], 3),
+    ], ids=["nan_scale", "inf_nu", "inf_var", "inf_mass", "nan_x1"])
+    def test_rejected_with_exit_code(self, capsys, tmp_path, measure, extra,
+                                     want):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(measure))
+        argv = ["two-point", "--measure", str(path), "--t", "1",
+                "--x1", "0", "--x2", "1"] + extra
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == want
+        assert out == ""
+
+
+class TestRepeatedCalls:
+    def test_repeated_calls_across_subcommands(self, capsys, lebesgue_file):
+        args = ("two-point", "--measure", lebesgue_file, "--t", "1",
+                "--x1", "0", "--x2", "1")
+        first = run_cli(capsys, *args)
+        with pytest.raises(SystemExit) as info:
+            main(["two-point", "--measure", lebesgue_file, "--t", "1"])
+        assert info.value.code == 2
+        assert "required" in capsys.readouterr().err
+        assert run_cli(capsys, "kernel", "--which", "H", "--t", "1")[0] == 0
+        assert run_cli(capsys, "local-time", "mgf", "--t", "1", "--a", "0",
+                       "--lambda", "1")[0] == 0
+        assert run_cli(capsys, *args) == first
+        assert first[0] == 0
+
+    def test_help_is_unchanged_by_earlier_calls(self, capsys, lebesgue_file):
+        def help_text():
+            with pytest.raises(SystemExit) as info:
+                main(["two-point", "--help"])
+            assert info.value.code == 0
+            return capsys.readouterr().out
+        before = help_text()
+        run_cli(capsys, "two-point", "--measure", lebesgue_file, "--t", "1",
+                "--x1", "0", "--x2", "1", "--method", "both")
+        assert help_text() == before
+        assert "--method {closed,quadrature,both}" in before

@@ -264,3 +264,16 @@ def test_intermittent_blowup_raises_not_inf():
         second_moment_kernel(3000.0, 0.0, P11)
     with pytest.raises(KernelOverflowError):
         two_point_lebesgue(TwoPointQuery(t=3000.0, x1=0.0, x2=0.0), P11)
+
+
+@pytest.mark.parametrize("nu", [np.inf, np.nan])
+def test_kernel_params_reject_non_finite_nu(nu):
+    with pytest.raises(DomainError):
+        KernelParams(nu=nu, lam=1.0)
+
+
+@pytest.mark.parametrize("t,x1,x2", [
+    (np.inf, 0.0, 0.0), (1.0, np.nan, 0.0), (1.0, 0.0, -np.inf)])
+def test_two_point_query_rejects_non_finite_inputs(t, x1, x2):
+    with pytest.raises(DomainError):
+        TwoPointQuery(t=t, x1=x1, x2=x2)

@@ -191,3 +191,26 @@ class TestMembership:
     def test_nonpositive_a_rejected(self):
         with pytest.raises(DomainError):
             check_membership(LebesgueScaled(1.0), [1.0, 0.0])
+
+
+class TestNonFiniteMeasures:
+    @pytest.mark.parametrize("atoms", [
+        ((np.inf, 1.0),), ((0.0, 1.0), (1.0, np.nan))])
+    def test_atoms(self, atoms):
+        with pytest.raises(InadmissibleMeasureError):
+            DiracAtoms(atoms)
+
+    def test_lebesgue_scale(self):
+        with pytest.raises(InadmissibleMeasureError):
+            parse_measure({"type": "lebesgue", "scale": float("nan")})
+
+    @pytest.mark.parametrize("mean,var,mass", [
+        (np.inf, 1.0, 1.0), (0.0, np.inf, 1.0), (0.0, 1.0, np.nan)])
+    def test_gaussian_density(self, mean, var, mass):
+        with pytest.raises(InadmissibleMeasureError):
+            gaussian_density(mean, var, mass)
+
+    @pytest.mark.parametrize("degree,rate", [(np.inf, 0.0), (0.0, np.nan)])
+    def test_certificate(self, degree, rate):
+        with pytest.raises(DomainError):
+            GrowthCertificate(1.0, degree=degree, rate=rate, power=1.0)
