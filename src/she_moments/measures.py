@@ -297,15 +297,22 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
 # Bilinear kernel integrals
 # ---------------------------------------------------------------------------
 
-def _density_callable(mu: InitialMeasure):
-    """Uniform density view of a non-atomic primitive measure."""
+def _density_view(mu: InitialMeasure):
+    """(array density, growth certificate, support radius or None) of a
+    non-atomic primitive measure."""
     if isinstance(mu, LebesgueScaled):
         c = mu.scale
-        return lambda z: c
+        return (lambda z: c), GrowthCertificate(abs(c)), None
     if isinstance(mu, DensityMeasure):
-        fn = mu.f
-        return lambda z: float(fn(z))
+        return mu.f, mu.certificate, mu.support_radius
     raise DomainError(f"measure {type(mu).__name__} has no density")
+
+
+def _scalar_density(mu: InitialMeasure) -> Callable[[float], float]:
+    """The density of a non-atomic primitive measure, as a scalar function
+    for QUADPACK callbacks."""
+    fn = _density_view(mu)[0]
+    return lambda z: float(fn(z))
 
 
 def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
@@ -330,7 +337,7 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
         return _atom_sum(mu1, mu2, kernel)
     if a1 or a2:
         atoms = mu1.atoms if a1 else mu2.atoms
-        dens = _density_callable(mu2 if a1 else mu1)
+        dens = _scalar_density(mu2 if a1 else mu1)
         total = 0.0
         for loc, m in atoms:
             if a1:
@@ -343,7 +350,7 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
                                       abs_tol=abs_tol, rel_tol=rel_tol)
         return total
 
-    f1, f2 = _density_callable(mu1), _density_callable(mu2)
+    f1, f2 = _scalar_density(mu1), _scalar_density(mu2)
 
     def rotated(zbar: float, dz: float) -> float:
         z1 = zbar - 0.5 * dz
@@ -386,23 +393,17 @@ def _tail_radius(log_ratio: Callable[[float], float], scale: float) -> float:
     return hi
 
 
-def _density_view(mu: InitialMeasure):
-    """(array density, growth certificate, support radius or None) of a
-    non-atomic primitive measure."""
-    if isinstance(mu, LebesgueScaled):
-        c = mu.scale
-        return (lambda z: c), GrowthCertificate(abs(c)), None
-    if isinstance(mu, DensityMeasure):
-        return mu.f, mu.certificate, mu.support_radius
-    raise DomainError(f"measure {type(mu).__name__} has no density")
-
-
 def _log_growth(certs: Sequence[GrowthCertificate], x0: float,
                 r: float) -> float:
-    """log(envelope(x0 + r) / envelope(x0)) summed over the certificates."""
+    """Upper bound of log(E(x) / E(x0)) for |x - x0| <= r, x0 >= 0, summed
+    over the certificates.  E is the certificate's envelope with a decaying
+    factor exp(rate |x|^power), rate < 0, replaced by its bound 1: that
+    factor grows towards the origin, so it would cut the window short on
+    that side; without it the kernel's decay sizes the window there."""
     x = x0 + r
     return sum(c.degree * math.log1p(r / (1.0 + x0))
-               + (c.rate * (x ** c.power - x0 ** c.power) if c.rate else 0.0)
+               + (c.rate * (x ** c.power - x0 ** c.power) if c.rate > 0
+                  else 0.0)
                for c in certs)
 
 
@@ -554,6 +555,10 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
     integral by panelled Gauss-Legendre; ``formula="direct"`` integrates the
     full two-point kernel by nested adaptive QUADPACK.  The two must agree;
     cross-checking them is the point of keeping both.
+
+    The panels resolve smooth densities; a density that jumps or kinks
+    off the panel edges (an indicator, say) makes the split form raise
+    QuadratureError rather than miss its tolerance.
     """
     abs_tol, rel_tol = 1e-10, 1e-9
     if formula == "split":
@@ -597,7 +602,7 @@ def check_membership(mu: InitialMeasure, a_grid: Sequence[float]) -> list[dict]:
             elif isinstance(term, LebesgueScaled):
                 total += term.scale * math.sqrt(math.pi / a)
             else:
-                fn = _density_callable(term)
+                fn = _scalar_density(term)
                 try:
                     total += integrate_1d(
                         lambda z: fn(z) * math.exp(-a * z * z),

@@ -48,6 +48,12 @@ def _split_direct(q, mu, params):
 
 CAUCHY = DensityMeasure(lambda x: 1.0 / (1.0 + np.asarray(x) ** 2),
                         GrowthCertificate(amplitude=1.0), nonnegative=True)
+# A decaying certificate: its envelope grows towards the origin, so a
+# window centred far out must still reach back there.
+DECAYING = DensityMeasure(lambda x: np.exp(-0.5 * np.asarray(x) ** 2),
+                          GrowthCertificate(amplitude=1.0, rate=-0.5,
+                                            power=2.0),
+                          nonnegative=True)
 
 
 class TestPanelRule:
@@ -142,8 +148,13 @@ class TestSplitAgainstDirect:
         (CAUCHY, TwoPointQuery(0.8, -0.2, 0.6), 1.0),
         (MeasureSum((DiracAtoms(((0.4, 1.2),)), CAUCHY)),
          TwoPointQuery(1.5, 3.0, 1.0), 2.0),
+        (DECAYING, TwoPointQuery(1.0, 5.0, 5.0), 1.0),
+        (DECAYING, TwoPointQuery(0.5, 3.0, 4.0), 1.0),
+        (MeasureSum((DiracAtoms(((5.0, 1.0),)), DECAYING)),
+         TwoPointQuery(1.0, 5.0, 5.0), 1.0),
     ], ids=["lam3", "lam5", "sum_lam3", "var1e-3", "t0.05_mean2_far",
-            "t0.05_mean2_near", "cauchy", "cauchy_atom_sum"])
+            "t0.05_mean2_near", "cauchy", "cauchy_atom_sum",
+            "decaying_far", "decaying_off_diagonal", "decaying_atom_sum"])
     def test_stress_cases(self, mu, q, lam):
         split, direct = _split_direct(q, mu, KernelParams(nu=1.0, lam=lam))
         assert _rel(split, direct) <= SPLIT_VS_DIRECT
@@ -172,6 +183,20 @@ class TestSplitAgainstDirect:
         a = two_point(TwoPointQuery(0.6, -0.3, 0.8), mu, params)
         b = two_point(TwoPointQuery(0.6, 0.8, -0.3), mu, params)
         assert _rel(a, b) <= 1e-12
+
+    def test_jumps_off_the_panel_edges_raise(self):
+        # An indicator density jumps along diagonals of the rotated
+        # (zbar, dz) panels, where the rule converges only like the panel
+        # width: the split form raises instead of returning a value that
+        # misses its tolerance.  Nested adaptive QUADPACK (the direct form)
+        # raises on it too, after seconds to minutes.
+        box = DensityMeasure(
+            lambda x: (np.abs(np.asarray(x)) <= 1.0).astype(float),
+            GrowthCertificate(amplitude=1.0), nonnegative=True,
+            support_radius=1.0)
+        with pytest.raises(QuadratureError):
+            two_point(TwoPointQuery(0.5, 0.0, 0.0), box,
+                      KernelParams(nu=1.0, lam=1.0))
 
 
 class TestAtomSums:
