@@ -20,7 +20,8 @@ from .measures import (DensityMeasure, DiracAtoms, GrowthCertificate,
                        parse_measure, second_moment, two_point)
 from .simulate import (BoundedInitialData, Estimate, McConfig, RhoSpec,
                        SpdeGrid, fk_two_point, fk_two_point_occupation,
-                       spde_estimate_two_point, spde_solve_path)
+                       spde_estimate_two_point, spde_lattice_second_moment,
+                       spde_solve_path)
 from .transforms import (TransformCase, conv_heat_offset_factor,
                          conv_heat_time_factor, inverse_transform_f1,
                          laplace_closed, laplace_numeric)

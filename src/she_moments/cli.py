@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -58,15 +59,19 @@ REL_DIFF_GATE = 1e-6
 
 def _parse_grid(text: str) -> np.ndarray:
     """``start:stop:count`` (inclusive) or a single float."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid must be start:stop:count, got {text!r}")
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"grid must be start:stop:count, got {text!r}")
+    try:
+        if len(parts) == 1:
+            return np.array([float(text)])
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ConfigError(f"grid count must be >= 1, got {count}")
-        return np.linspace(start, stop, count)
-    return np.array([float(text)])
+    except ValueError as exc:
+        raise ConfigError(f"grid must be start:stop:count or a number, "
+                          f"got {text!r}") from exc
+    if count < 1:
+        raise ConfigError(f"grid count must be >= 1, got {count}")
+    return np.linspace(start, stop, count)
 
 
 def _write_csv(rows: list[dict], path: str | None) -> None:
@@ -293,6 +298,9 @@ def _cmd_simulate(args) -> int:
                   batch_size=int(mc_cfg.get("batch_size", 256)),
                   workers=int(mc_cfg.get("workers", 1)))
 
+    # The oracle is cheap and may be out of range (exp overflow at large
+    # lambda); find that out before paying for the Monte Carlo.
+    oracle = _oracle_value(engine, config) if args.oracle else None
     estimate = _run_engine(engine, config, mc)
 
     echo = {"engine": engine, "config": config,
@@ -306,8 +314,7 @@ def _cmd_simulate(args) -> int:
         "config_echo": echo,
         "manifest": _manifest("simulate", echo, mc.seed),
     }
-    if args.oracle:
-        oracle = _oracle_value(engine, config)
+    if oracle is not None:
         diff = estimate.value - oracle
         if estimate.std_error > 0:
             z = diff / estimate.std_error
@@ -356,7 +363,10 @@ def _cmd_local_time(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than a closed-form query, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="she-moments",
         description="Moment kernels of the multiplicative stochastic heat "

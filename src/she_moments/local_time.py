@@ -61,6 +61,9 @@ class JointLocalTimeLaw:
     def __post_init__(self):
         if not (self.t > 0):
             raise DomainError(f"JointLocalTimeLaw requires t > 0, got {self.t}")
+        if not (math.isfinite(self.t) and math.isfinite(self.a)):
+            raise DomainError(f"JointLocalTimeLaw requires finite t and a, "
+                              f"got t={self.t}, a={self.a}")
 
     # -- densities -----------------------------------------------------
 

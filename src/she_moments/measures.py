@@ -55,7 +55,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InadmissibleMeasureError, QuadratureError
+from .errors import (DomainError, InadmissibleMeasureError, QuadratureError,
+                     SheMomentsError)
 from .gaussian import heat_kernel
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       two_point_kernel)
@@ -246,18 +247,26 @@ def parse_measure(obj: dict) -> InitialMeasure:
         raise InadmissibleMeasureError(f"measure spec must be an object with a "
                                        f"'type' key, got {obj!r}")
     kind = obj["type"]
-    if kind == "atoms":
-        mu: InitialMeasure = DiracAtoms(tuple((float(x), float(m))
-                                              for x, m in obj["atoms"]))
-    elif kind == "lebesgue":
-        mu = LebesgueScaled(float(obj.get("scale", 1.0)))
-    elif kind == "gaussian":
-        mu = gaussian_density(float(obj["mean"]), float(obj["var"]),
-                              float(obj.get("mass", 1.0)))
-    elif kind == "sum":
-        mu = MeasureSum(tuple(parse_measure(t) for t in obj["terms"]))
-    else:
-        raise InadmissibleMeasureError(f"unknown measure type {kind!r}")
+    try:
+        if kind == "atoms":
+            mu: InitialMeasure = DiracAtoms(tuple((float(x), float(m))
+                                                  for x, m in obj["atoms"]))
+        elif kind == "lebesgue":
+            mu = LebesgueScaled(float(obj.get("scale", 1.0)))
+        elif kind == "gaussian":
+            mu = gaussian_density(float(obj["mean"]), float(obj["var"]),
+                                  float(obj.get("mass", 1.0)))
+        elif kind == "sum":
+            mu = MeasureSum(tuple(parse_measure(t) for t in obj["terms"]))
+        else:
+            raise InadmissibleMeasureError(f"unknown measure type {kind!r}")
+    except (TypeError, ValueError) as exc:
+        # Malformed entries (an atom without a mass, a non-numeric field)
+        # are measure errors too; the package's own errors pass unchanged.
+        if isinstance(exc, SheMomentsError):
+            raise
+        raise InadmissibleMeasureError(
+            f"malformed {kind!r} measure spec: {exc}") from exc
     object.__setattr__(mu, "config", obj)
     return mu
 

@@ -48,7 +48,8 @@ from .rng import (DOMAIN_FK, DOMAIN_FK_OCC, DOMAIN_SPDE, path_generator,
 
 __all__ = [
     "Estimate", "SpdeGrid", "McConfig", "RhoSpec", "BoundedInitialData",
-    "spde_solve_path", "spde_estimate_two_point", "fk_two_point",
+    "spde_solve_path", "spde_estimate_two_point",
+    "spde_lattice_second_moment", "fk_two_point",
     "fk_two_point_occupation",
 ]
 
@@ -180,12 +181,17 @@ class RhoSpec:
     def is_zero(self) -> bool:
         return self.kind == "zero" or self.lam == 0.0
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
+    def __call__(self, u: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
         if self.kind == "linear":
-            return self.lam * u
+            return np.multiply(u, self.lam, out=out)
         if self.kind == "clipped":
-            return self.lam * np.clip(u, -self.clip, self.clip)
-        return np.zeros_like(u)
+            clipped = np.clip(u, -self.clip, self.clip, out=out)
+            return np.multiply(clipped, self.lam, out=clipped)
+        if out is None:
+            return np.zeros_like(u)
+        out.fill(0.0)
+        return out
 
     def to_config(self) -> dict:
         cfg = {"kind": self.kind}
@@ -248,6 +254,40 @@ def _initial_field(grid: SpdeGrid, mu: InitialMeasure) -> np.ndarray:
     return u
 
 
+def _spde_step(u: np.ndarray, lap: np.ndarray, r: float, dirichlet: bool,
+               rho: RhoSpec | None = None, noise: np.ndarray | None = None,
+               tmp: np.ndarray | None = None) -> None:
+    """One explicit Euler step of the fields ``u`` (rows), in place.
+
+    ``noise`` holds normals already scaled by ``sqrt(dt / dx)``, one row per
+    field; without it the step is the noise-free heat step.  ``lap`` and
+    ``tmp`` are work buffers shaped like ``u``.  The order of operations
+    is part of the reproducibility contract: ``u + (r*lap + rho(u)*noise)``
+    with ``lap = (u[:-2] - 2u) + u[2:]``.
+    """
+    inner = lap[:, 1:-1]
+    np.multiply(u[:, 1:-1], 2.0, out=inner)
+    np.subtract(u[:, :-2], inner, out=inner)
+    inner += u[:, 2:]
+    if dirichlet:
+        lap[:, 0] = lap[:, -1] = 0.0
+    else:
+        np.subtract(u[:, 1], u[:, 0], out=lap[:, 0])
+        lap[:, 0] *= 2.0
+        np.subtract(u[:, -2], u[:, -1], out=lap[:, -1])
+        lap[:, -1] *= 2.0
+    lap *= r
+    if noise is None:
+        u += lap
+    else:
+        rho(u, out=tmp)
+        tmp *= noise
+        tmp += lap
+        u += tmp
+    if dirichlet:
+        u[:, 0] = u[:, -1] = 0.0
+
+
 def _run_spde_batch(grid: SpdeGrid, u0_field: np.ndarray, rho: RhoSpec,
                     nu: float, seed: int, lo: int, hi: int) -> np.ndarray:
     """Evolve paths [lo, hi) to t_final; returns fields (hi-lo, n_nodes)."""
@@ -263,6 +303,7 @@ def _run_spde_batch(grid: SpdeGrid, u0_field: np.ndarray, rho: RhoSpec,
     chunk = max(1, 65536 // nx)
 
     lap = np.empty_like(u)
+    tmp = None if rho.is_zero else np.empty_like(u)
     # One noise buffer for the whole batch, filled in place path by path.
     noise = (None if rho.is_zero
              else np.empty((n_paths, min(chunk, n_steps), nx)))
@@ -273,22 +314,10 @@ def _run_spde_batch(grid: SpdeGrid, u0_field: np.ndarray, rho: RhoSpec,
             if noise is not None:
                 for p, g in enumerate(gens):
                     g.standard_normal(out=noise[p, :this_chunk])
+                noise[:, :this_chunk] *= noise_scale
             for k in range(this_chunk):
-                lap[:, 1:-1] = u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]
-                if dirichlet:
-                    lap[:, 0] = lap[:, -1] = 0.0
-                else:
-                    lap[:, 0] = 2.0 * (u[:, 1] - u[:, 0])
-                    lap[:, -1] = 2.0 * (u[:, -2] - u[:, -1])
-                if noise is None:
-                    u += r * lap
-                else:
-                    drift = r * lap
-                    drift += rho(u) * (noise_scale * noise[:, k, :])
-                    u += drift
-                if dirichlet:
-                    u[:, 0] = 0.0
-                    u[:, -1] = 0.0
+                _spde_step(u, lap, r, dirichlet, rho,
+                           None if noise is None else noise[:, k, :], tmp)
             step += this_chunk
     return u
 
@@ -311,27 +340,53 @@ def spde_solve_path(grid: SpdeGrid, mu: InitialMeasure, rho: RhoSpec,
     noise_scale = math.sqrt(grid.dt) / math.sqrt(grid.dx)
     dirichlet = grid.boundary == "dirichlet0"
     lap = np.empty_like(u)
+    tmp = None if rho.is_zero else np.empty_like(u)
+    noise = None if rho.is_zero else np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            lap[:, 1:-1] = u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]
-            if dirichlet:
-                lap[:, 0] = lap[:, -1] = 0.0
-            else:
-                lap[:, 0] = 2.0 * (u[:, 1] - u[:, 0])
-                lap[:, -1] = 2.0 * (u[:, -2] - u[:, -1])
-            if rho.is_zero:
-                u += r * lap
-            else:
-                drift = r * lap
-                drift += rho(u) * (noise_scale * rng.standard_normal(u.shape))
-                u += drift
-            if dirichlet:
-                u[:, 0] = u[:, -1] = 0.0
+            if noise is not None:
+                rng.standard_normal(out=noise)
+                noise *= noise_scale
+            _spde_step(u, lap, r, dirichlet, rho, noise, tmp)
             if not np.all(np.isfinite(u)):
                 raise DivergenceError(
                     f"field diverged at step {k + 1} of {n_steps}",
                     n_divergent=1, n_total=1)
     return u[0]
+
+
+def spde_lattice_second_moment(grid: SpdeGrid, mu: InitialMeasure,
+                               lam: float, nu: float) -> np.ndarray:
+    """Exact second-moment matrix ``M[i, j] = E[u_i u_j]`` of the explicit
+    scheme at ``t_final`` for the linear coupling ``rho(u) = lam * u``.
+
+    One step is ``u <- B u + lam * u * xi * sqrt(dt / dx)`` with iid standard
+    normals ``xi``, so ``M <- B M B^T + (lam^2 dt / dx) diag(diag M)``.
+    ``B`` is the noise-free step, applied to the rows of ``M`` and then to
+    its columns.  ``M[i1, i2]`` is the exact mean of the SPDE Monte Carlo
+    estimator on the same grid, discretisation bias included; it tends to
+    the continuum two-point function at O(dx) (Walsh 1986; Bertini &
+    Cancrini, J. Stat. Phys. 78, 1995).
+    """
+    if not (nu > 0):
+        raise DomainError(f"spde_lattice_second_moment requires nu > 0, "
+                          f"got {nu}")
+    grid.check_cfl(nu)
+    u0 = _initial_field(grid, mu)
+    m = np.outer(u0, u0)
+    lap = np.empty_like(m)
+    r = nu * grid.dt / (2.0 * grid.dx ** 2)
+    gain = lam * lam * grid.dt / grid.dx
+    dirichlet = grid.boundary == "dirichlet0"
+    diag = np.diag_indices_from(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(grid.n_time_steps):
+            # Zero on Dirichlet boundary nodes: the field is zero there.
+            noise_var = gain * m[diag]
+            _spde_step(m, lap, r, dirichlet)
+            _spde_step(m.T, lap, r, dirichlet)
+            m[diag] += noise_var
+    return m
 
 
 def _estimate_from_values(values: np.ndarray, n_total: int) -> Estimate:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from she_moments.cli import main
+from she_moments import cli
+from she_moments.cli import build_parser, main
 from she_moments.gaussian import heat_kernel
 from she_moments.kernels import mgf_local_time
 
@@ -298,3 +299,60 @@ class TestRepeatedCalls:
                 "--x1", "0", "--x2", "1", "--method", "both")
         assert help_text() == before
         assert "--method {closed,quadrature,both}" in before
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self, capsys, lebesgue_file):
+        parser = build_parser()
+        for argv in (("two-point", "--measure", lebesgue_file, "--t", "1",
+                      "--x1", "0", "--x2", "1"),
+                     ("kernel", "--which", "K", "--t", "1", "--x", "-1:1:3"),
+                     ("local-time", "mgf", "--t", "1", "--a", "0",
+                      "--lambda", "1"),
+                     ("second-moment", "--measure", lebesgue_file, "--t",
+                      "1", "--x", "0")) * 3:
+            assert run_cli(capsys, *argv)[0] == 0
+            assert build_parser() is parser
+        with pytest.raises(SystemExit):
+            main(["kernel", "--which", "nope", "--t", "1"])
+        assert build_parser() is parser
+
+
+class TestInputBoundary:
+    def test_atom_without_mass_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"type": "atoms", "atoms": [[0]]}))
+        code, out, err = run_cli(capsys, "two-point", "--measure", str(path),
+                                 "--t", "1", "--x1", "0", "--x2", "1")
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_non_numeric_grid_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "kernel", "--which", "K", "--t", "1",
+                                 "--x", "a:b:3")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_local_time_sample_nan_level_exit_3(self, capsys):
+        code, out, _ = run_cli(capsys, "local-time", "sample", "--t", "1",
+                               "--a", "nan", "--n", "5")
+        assert code == 3
+        assert out == ""
+
+    def test_oracle_overflow_exits_before_monte_carlo(self, capsys, tmp_path,
+                                                      monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the Monte Carlo engine must not run")
+        monkeypatch.setattr(cli, "fk_two_point", engine)
+        cfg = tmp_path / "fk.json"
+        cfg.write_text(json.dumps({
+            "t": 1.0, "x1": 0.0, "x2": 0.0, "nu": 1.0, "lambda": 8.0,
+            "u0": {"kind": "constant", "value": 1.0},
+            "mc": {"n_paths": 1000, "seed": 3}}))
+        code, out, err = run_cli(capsys, "simulate", "--engine", "fk",
+                                 "--config", str(cfg), "--oracle")
+        assert code == 3
+        assert out == ""
+        assert "overflow" in err

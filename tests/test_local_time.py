@@ -220,3 +220,11 @@ class TestMgfQuadratureConsistency:
             lo, hi = ((-np.inf, a) if a > 0 else (a, np.inf))
             cont += integrate_1d(lambda y: law.atom_profile(y), lo, hi)
         assert cont == pytest.approx(mgf_local_time(t, a, lam), rel=1e-7)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("t,a", [(1.0, math.nan), (1.0, math.inf),
+                                     (math.inf, 0.0)])
+    def test_rejected(self, t, a):
+        with pytest.raises(DomainError):
+            JointLocalTimeLaw(t=t, a=a)

@@ -214,3 +214,17 @@ class TestNonFiniteMeasures:
     def test_certificate(self, degree, rate):
         with pytest.raises(DomainError):
             GrowthCertificate(1.0, degree=degree, rate=rate, power=1.0)
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("spec", [
+        {"type": "atoms", "atoms": [[0]]},
+        {"type": "atoms", "atoms": [[0.0, 1.0, 2.0]]},
+        {"type": "atoms", "atoms": 5},
+        {"type": "gaussian", "mean": "x", "var": 1.0},
+        {"type": "sum", "terms": [{"type": "atoms", "atoms": [[1]]}]},
+    ], ids=["atom_without_mass", "atom_triple", "atoms_not_a_list",
+            "non_numeric_mean", "nested_atom_without_mass"])
+    def test_rejected_as_inadmissible(self, spec):
+        with pytest.raises(InadmissibleMeasureError):
+            parse_measure(spec)

@@ -10,7 +10,8 @@ from she_moments.measures import DiracAtoms, LebesgueScaled, gaussian_density
 from she_moments.simulate import (BoundedInitialData, Estimate, McConfig,
                                   RhoSpec, SpdeGrid, fk_two_point,
                                   fk_two_point_occupation,
-                                  spde_estimate_two_point, spde_solve_path)
+                                  spde_estimate_two_point,
+                                  spde_lattice_second_moment, spde_solve_path)
 
 P11 = KernelParams(nu=1.0, lam=1.0)
 
@@ -309,3 +310,63 @@ class TestTwinOracles:
                                               batch_size=250, workers=4))
         sigma = math.hypot(fk.std_error, sp.std_error)
         assert abs(fk.value - sp.value) < 3 * sigma + 0.05 * fk.value
+
+
+class TestLatticeSecondMoment:
+    """The exact second moment of the explicit scheme: a fifth route."""
+
+    @pytest.mark.parametrize("boundary", ["neumann0", "dirichlet0"])
+    def test_zero_coupling_is_outer_product_of_heat_field(self, boundary):
+        grid = SpdeGrid(L=1.5, dx=0.05, dt=1e-3, t_final=0.1,
+                        boundary=boundary)
+        mu = gaussian_density(0.2, 0.05)
+        field = spde_solve_path(grid, mu, RhoSpec.zero(), 1.0,
+                                np.random.default_rng(0))
+        m = spde_lattice_second_moment(grid, mu, 0.0, 1.0)
+        assert np.allclose(m, np.outer(field, field), rtol=1e-12, atol=1e-15)
+
+    def test_dirichlet_boundary_rows_vanish(self):
+        grid = SpdeGrid(L=1.0, dx=0.05, dt=1e-3, t_final=0.2,
+                        boundary="dirichlet0")
+        m = spde_lattice_second_moment(grid, LebesgueScaled(1.0), 1.0, 1.0)
+        for edge in (0, -1):
+            assert np.all(m[edge, :] == 0.0) and np.all(m[:, edge] == 0.0)
+        assert np.all(m[1:-1, 1:-1] > 0.0)
+
+    def test_cfl_checked(self):
+        grid = SpdeGrid(L=1.0, dx=0.1, dt=0.02, t_final=0.1)
+        with pytest.raises(ConfigError):
+            spde_lattice_second_moment(grid, LebesgueScaled(1.0), 1.0, 1.0)
+
+    def test_converges_to_closed_form_at_order_dx(self):
+        q = TwoPointQuery(t=0.3, x1=0.0, x2=0.0)
+        closed = two_point_lebesgue(q, P11)
+        errs = []
+        for dx in (0.08, 0.04, 0.02):
+            grid = SpdeGrid(L=3.3, dx=dx, dt=dx * dx / 2, t_final=0.3)
+            m = spde_lattice_second_moment(grid, LebesgueScaled(1.0), 1.0,
+                                           1.0)
+            i = grid.index_of(0.0)
+            errs.append(m[i, i] - closed)
+        # The scheme overestimates, and the error halves with dx.
+        assert all(e > 0 for e in errs)
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.8 < coarse / fine < 2.2
+        assert errs[-1] < 0.01 * closed
+
+    @pytest.mark.parametrize("mu,x2", [
+        (LebesgueScaled(1.0), 0.0),
+        (DiracAtoms(((0.0, 1.0),)), 0.3),
+    ], ids=["lebesgue", "atom"])
+    def test_monte_carlo_matches_lattice_mean(self, mu, x2):
+        # On its own grid the Monte Carlo estimator has no bias against the
+        # lattice moment, so only its statistical error remains.
+        grid = SpdeGrid(L=3.3, dx=0.1, dt=0.005, t_final=0.3)
+        q = TwoPointQuery(t=0.3, x1=0.0, x2=x2)
+        m = spde_lattice_second_moment(grid, mu, 1.0, 1.0)
+        exact = m[grid.index_of(q.x1), grid.index_of(q.x2)]
+        est = spde_estimate_two_point(q, mu, RhoSpec.linear(1.0), 1.0, grid,
+                                      McConfig(n_paths=4000, seed=3,
+                                               batch_size=1000))
+        assert est.n_divergent == 0
+        assert abs(est.value - exact) <= 5.0 * est.std_error
