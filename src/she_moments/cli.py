@@ -64,11 +64,16 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid must be start:stop:count, got {text!r}")
     try:
         if len(parts) == 1:
-            return np.array([float(text)])
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start = stop = float(text)
+            count = 1
+        else:
+            start, stop, count = (float(parts[0]), float(parts[1]),
+                                  int(parts[2]))
     except ValueError as exc:
         raise ConfigError(f"grid must be start:stop:count or a number, "
                           f"got {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid values must be finite, got {text!r}")
     if count < 1:
         raise ConfigError(f"grid count must be >= 1, got {count}")
     return np.linspace(start, stop, count)
@@ -213,21 +218,42 @@ def _cmd_verify(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _field(cfg: dict, key: str, kind=float, default=_REQUIRED):
+    """``kind(cfg[key])``, or of ``default`` when the key is absent and a
+    default is given.  A value that does not convert is a ConfigError."""
+    value = cfg[key] if default is _REQUIRED else cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {key!r} must be a number, "
+                          f"got {value!r}") from exc
+
+
+def _query_fields(config: dict) -> tuple[TwoPointQuery, float, float]:
+    """The query, nu and lambda of a simulate config."""
+    t, x1, x2, nu, lam = (_field(config, "t"),
+                          _field(config, "x1", default=0.0),
+                          _field(config, "x2", default=0.0),
+                          _field(config, "nu", default=1.0),
+                          _field(config, "lambda", default=0.0))
+    return TwoPointQuery(t=t, x1=x1, x2=x2), nu, lam
+
+
 def _u0_from_config(cfg: dict) -> BoundedInitialData:
     kind = cfg.get("kind")
     if kind == "constant":
-        return BoundedInitialData.constant(float(cfg["value"]))
+        return BoundedInitialData.constant(_field(cfg, "value"))
     if kind == "indicator":
-        return BoundedInitialData.indicator(float(cfg["lo"]), float(cfg["hi"]))
+        return BoundedInitialData.indicator(_field(cfg, "lo"),
+                                            _field(cfg, "hi"))
     raise ConfigError(f"unknown u0 kind {kind!r}")
 
 
 def _oracle_value(engine: str, config: dict) -> float:
-    t = float(config["t"])
-    x1, x2 = float(config.get("x1", 0.0)), float(config.get("x2", 0.0))
-    nu = float(config.get("nu", 1.0))
-    lam = float(config.get("lambda", 0.0))
-    q = TwoPointQuery(t=t, x1=x1, x2=x2)
+    q, nu, lam = _query_fields(config)
     params = KernelParams(nu=nu, lam=lam)
     if engine == "spde":
         rho = RhoSpec.from_config(config["rho"])
@@ -241,20 +267,16 @@ def _oracle_value(engine: str, config: dict) -> float:
     u0 = config.get("u0", {})
     if u0.get("kind") != "constant":
         raise ConfigError("--oracle for fk engines requires constant u0")
-    c = float(u0["value"])
+    c = _field(u0, "value")
     return c * c * two_point_lebesgue(q, params)
 
 
 def _run_engine(engine: str, config: dict, mc: McConfig):
-    t = float(config["t"])
-    x1, x2 = float(config.get("x1", 0.0)), float(config.get("x2", 0.0))
-    nu = float(config.get("nu", 1.0))
-    lam = float(config.get("lambda", 0.0))
-    q = TwoPointQuery(t=t, x1=x1, x2=x2)
+    q, nu, lam = _query_fields(config)
     if engine == "spde":
         gcfg = config["grid"]
-        grid = SpdeGrid(L=float(gcfg["L"]), dx=float(gcfg["dx"]),
-                        dt=float(gcfg["dt"]), t_final=t,
+        grid = SpdeGrid(L=_field(gcfg, "L"), dx=_field(gcfg, "dx"),
+                        dt=_field(gcfg, "dt"), t_final=q.t,
                         boundary=gcfg.get("boundary", "neumann0"))
         mu = parse_measure(config["measure"])
         rho = RhoSpec.from_config(config["rho"])
@@ -264,8 +286,8 @@ def _run_engine(engine: str, config: dict, mc: McConfig):
         return fk_two_point(q, u0, nu, lam, mc)
     if engine == "fk-occupation":
         return fk_two_point_occupation(q, u0, nu, lam, mc,
-                                       eps=float(config["eps"]),
-                                       n_steps=int(config["n_steps"]))
+                                       eps=_field(config, "eps"),
+                                       n_steps=_field(config, "n_steps", int))
     raise ConfigError(f"unknown engine {engine!r}")
 
 
@@ -293,10 +315,10 @@ def _cmd_simulate(args) -> int:
         mc_cfg["workers"] = args.workers
     elif "workers" not in mc_cfg:
         mc_cfg["workers"] = int(os.environ.get("SHE_MOMENTS_WORKERS", "1"))
-    mc = McConfig(n_paths=int(mc_cfg.get("n_paths", 10000)),
-                  seed=int(mc_cfg.get("seed", 0)),
-                  batch_size=int(mc_cfg.get("batch_size", 256)),
-                  workers=int(mc_cfg.get("workers", 1)))
+    mc = McConfig(n_paths=_field(mc_cfg, "n_paths", int, 10000),
+                  seed=_field(mc_cfg, "seed", int, 0),
+                  batch_size=_field(mc_cfg, "batch_size", int, 256),
+                  workers=_field(mc_cfg, "workers", int, 1))
 
     # The oracle is cheap and may be out of range (exp overflow at large
     # lambda); find that out before paying for the Monte Carlo.

@@ -181,11 +181,15 @@ def gaussian_product_moment_bound(s: float, t: float, x: float, ys):
     if not (s > 0 and t > 0):
         raise DomainError("gaussian_product_moment_bound requires s > 0 and t > 0")
 
+    # G_1(s, x + z) Π_j G_1(t, z - y_j) as one exponential.
+    norm = 1.0 / (math.sqrt(_TWO_PI * s) * math.sqrt(_TWO_PI * t) ** p)
+    two_s, two_t = 2.0 * s, 2.0 * t
+
     def integrand(z: float) -> float:
-        val = heat_kernel(s, x + z, 1.0)
+        expo = (x + z) ** 2 / two_s
         for yj in ys:
-            val *= heat_kernel(t, z - yj, 1.0)
-        return val
+            expo += (z - yj) ** 2 / two_t
+        return norm * math.exp(-expo)
 
     lhs = integrate_1d(integrand, -np.inf, np.inf)
     rhs = ((p + 1) ** (p / 2.0) * np.sqrt(t / (p * s + t))

@@ -19,6 +19,8 @@ Naming map (all functions take a :class:`KernelParams`):
 * ``covariance_kernel``         -- K_dag, the excess of the two-point kernel
   over the product of heat kernels (vanishes when lambda = 0).
 * ``two_point_kernel``          -- K_star = G*G + K_dag, convolution form.
+* ``two_point_kernel_at``       -- K_star of one query as a float function
+  of the initial points (z1, z2), for scalar quadrature callbacks.
 * ``two_point_kernel_centered`` -- the same kernel in centred coordinates
   (xbar - zbar, dx, dz); equals
   ``two_point_kernel(t, x1-z1, x2-z2, x1-x2)`` identically.
@@ -160,12 +162,6 @@ def covariance_kernel(t: float, z1, z2, y, params: KernelParams):
     product.  Nonnegative; zero when ``lam = 0``.
     """
     nu, l2 = params.nu, params.lam2
-    if (isinstance(z1, (float, int)) and isinstance(z2, (float, int))
-            and isinstance(y, (float, int))):
-        w = abs(y) + abs(y - (z1 - z2))
-        val = exp_phi(l2 / (4.0 * nu) * (l2 * t - 2.0 * w),
-                      (l2 * t - w) / math.sqrt(2.0 * nu * t))
-        return l2 / (2.0 * nu) * heat_kernel(t, 0.5 * (z1 + z2), nu / 2.0) * val
     w = np.abs(y) + np.abs(y - (np.asarray(z1) - np.asarray(z2)))
     val = exp_phi(l2 / (4.0 * nu) * (l2 * t - 2.0 * w),
                   (l2 * t - w) / np.sqrt(2.0 * nu * t))
@@ -177,6 +173,39 @@ def two_point_kernel(t: float, z1, z2, y, params: KernelParams):
     """K_star(t, z1, z2, y) = G_nu(t, z1) G_nu(t, z2) + K_dag(t, z1, z2, y)."""
     return (heat_kernel(t, z1, params.nu) * heat_kernel(t, z2, params.nu)
             + covariance_kernel(t, z1, z2, y, params))
+
+
+def two_point_kernel_at(q: TwoPointQuery, params: KernelParams):
+    """The two-point kernel of one query as a function of the initial
+    points: ``kernel(z1, z2) = two_point_kernel(t, x1 - z1, x2 - z2,
+    x1 - x2)`` on Python floats, for scalar quadrature callbacks.
+
+    Everything that depends only on the query is computed once, here; a
+    call costs two ``math.exp`` and one :func:`exp_phi`.
+    """
+    nu, l2, t = params.nu, params.lam2, q.t
+    x1, x2 = q.x1, q.x2
+    adx = abs(x1 - x2)
+    var = nu * t
+    two_var = 2.0 * var
+    # G_nu(t, a) G_nu(t, b) and (lam^2 / 2 nu) G_{nu/2}(t, u), less their
+    # exponentials.
+    prod_norm = 1.0 / (2.0 * math.pi * var)
+    bar_norm = l2 / (2.0 * nu) / math.sqrt(math.pi * var)
+    l2t = l2 * t
+    c_scale = l2 / (4.0 * nu)
+    srt = math.sqrt(2.0 * nu * t)
+
+    def kernel(z1: float, z2: float) -> float:
+        a = x1 - z1
+        b = x2 - z2
+        u = 0.5 * (a + b)
+        w = adx + abs(z1 - z2)
+        return (prod_norm * math.exp(-(a * a + b * b) / two_var)
+                + bar_norm * math.exp(-u * u / var)
+                * exp_phi(c_scale * (l2t - 2.0 * w), (l2t - w) / srt))
+
+    return kernel
 
 
 def two_point_kernel_centered(t: float, x1, x2, z1, z2, params: KernelParams):

@@ -241,7 +241,7 @@ def first_passage_convolution(t: float, a: float, b: float):
             if expo > _EXP_UNDERFLOW:
                 return 0.0
             return (2.0 * p * q / (t * t) / u2 / (1.0 - u2) ** 1.5
-                    * np.exp(-expo))
+                    * math.exp(-expo))
         return integrate_1d(integrand, 0.0, 1.0 / np.sqrt(2.0),
                             abs_tol=1e-13, rel_tol=1e-11)
 

@@ -33,8 +33,9 @@ means something.  The split form uses panelled Gauss-Legendre
 panel edge sits on the kink (``dz = 0``, or ``z = atom`` for an
 atom-density term), and the window comes from the kernel's decay scales
 and the measure's support radius or growth certificate.  The direct form
-uses nested adaptive QUADPACK with scalar callbacks.  Sums over atoms are
-one array kernel call under both.
+uses nested adaptive QUADPACK with float callbacks of the query-bound
+kernel ``kernels.two_point_kernel_at``, breaking atom-density integrals
+at the atom.  Sums over atoms are one array kernel call under both.
 
 Measures parse from a declarative JSON object::
 
@@ -59,7 +60,7 @@ from .errors import (DomainError, InadmissibleMeasureError, QuadratureError,
                      SheMomentsError)
 from .gaussian import heat_kernel
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
-                      two_point_kernel)
+                      two_point_kernel, two_point_kernel_at)
 from .quadrature import integrate_1d, integrate_panels
 
 __all__ = [
@@ -232,9 +233,13 @@ def gaussian_density(mean: float, var: float, mass: float = 1.0) -> DensityMeasu
             f"gaussian_density requires finite mean, var and mass, got "
             f"({mean}, {var}, {mass})")
     norm = mass / math.sqrt(2.0 * math.pi * var)
+    two_var = 2.0 * var
 
     def f(x):
-        return norm * np.exp(-(np.asarray(x, dtype=float) - mean) ** 2 / (2.0 * var))
+        if isinstance(x, float):
+            d = x - mean
+            return norm * math.exp(-d * d / two_var)
+        return norm * np.exp(-(np.asarray(x, dtype=float) - mean) ** 2 / two_var)
 
     return DensityMeasure(f, GrowthCertificate(amplitude=abs(norm)),
                           nonnegative=mass >= 0,
@@ -295,7 +300,11 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
         return mu.scale
     if isinstance(mu, DensityMeasure):
         fn = mu.f
-        return integrate_1d(lambda y: float(fn(y)) * heat_kernel(t, x - y, nu),
+        # A 0-d array sends the density down its numpy path, so J0, and
+        # with it the default two-point route, does not depend on its float
+        # path (math.exp and np.exp may round differently).
+        return integrate_1d(lambda y: float(fn(np.asarray(y)))
+                            * heat_kernel(t, x - y, nu),
                             -np.inf, np.inf, abs_tol=1e-10, rel_tol=1e-10)
     if isinstance(mu, MeasureSum):
         return float(sum(mean_field(t, x, term, nu) for term in mu.terms))
@@ -307,21 +316,15 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _density_view(mu: InitialMeasure):
-    """(array density, growth certificate, support radius or None) of a
-    non-atomic primitive measure."""
+    """(density, growth certificate, support radius or None) of a
+    non-atomic primitive measure.  The density takes arrays, and floats
+    for QUADPACK callbacks."""
     if isinstance(mu, LebesgueScaled):
         c = mu.scale
         return (lambda z: c), GrowthCertificate(abs(c)), None
     if isinstance(mu, DensityMeasure):
         return mu.f, mu.certificate, mu.support_radius
     raise DomainError(f"measure {type(mu).__name__} has no density")
-
-
-def _scalar_density(mu: InitialMeasure) -> Callable[[float], float]:
-    """The density of a non-atomic primitive measure, as a scalar function
-    for QUADPACK callbacks."""
-    fn = _density_view(mu)[0]
-    return lambda z: float(fn(z))
 
 
 def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
@@ -333,41 +336,47 @@ def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
 
 
 def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
-                        kernel: Callable[[float, float], float],
+                        q: TwoPointQuery, params: KernelParams,
                         abs_tol: float, rel_tol: float) -> float:
-    """∬ mu1(dz1) mu2(dz2) kernel(z1, z2) for primitive (non-sum) measures
-    by nested adaptive quadrature: the direct-form route.
+    """∬ mu1(dz1) mu2(dz2) K_star(t, x1 - z1, x2 - z2, x1 - x2) for
+    primitive measures by nested adaptive quadrature: the direct-form
+    route.
 
-    Atomic factors reduce to sums; everything else integrates in rotated
-    coordinates (outer zbar, inner dz).
+    Atom pairs sum in one array kernel call.  The QUADPACK callbacks
+    evaluate the query-bound float kernel: over the density variable on
+    either side of each atom, where the kernel has its kink, and otherwise
+    in rotated coordinates (outer zbar, inner dz).
     """
     a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
     if a1 and a2:
-        return _atom_sum(mu1, mu2, kernel)
+        return _atom_sum(mu1, mu2, lambda z1, z2: two_point_kernel(
+            q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2, params))
+    point_kernel = two_point_kernel_at(q, params)
     if a1 or a2:
         atoms = mu1.atoms if a1 else mu2.atoms
-        dens = _scalar_density(mu2 if a1 else mu1)
+        dens = _density_view(mu2 if a1 else mu1)[0]
         total = 0.0
         for loc, m in atoms:
             if a1:
                 def integrand(z2, loc=loc):
-                    return dens(z2) * kernel(loc, z2)
+                    return dens(z2) * point_kernel(loc, z2)
             else:
                 def integrand(z1, loc=loc):
-                    return dens(z1) * kernel(z1, loc)
-            total += m * integrate_1d(integrand, -np.inf, np.inf,
-                                      abs_tol=abs_tol, rel_tol=rel_tol)
+                    return dens(z1) * point_kernel(z1, loc)
+            total += m * (integrate_1d(integrand, -np.inf, loc,
+                                       abs_tol=abs_tol, rel_tol=rel_tol)
+                          + integrate_1d(integrand, loc, np.inf,
+                                         abs_tol=abs_tol, rel_tol=rel_tol))
         return total
 
-    f1, f2 = _scalar_density(mu1), _scalar_density(mu2)
-
-    def rotated(zbar: float, dz: float) -> float:
-        z1 = zbar - 0.5 * dz
-        z2 = zbar + 0.5 * dz
-        return f1(z1) * f2(z2) * kernel(z1, z2)
+    f1, f2 = _density_view(mu1)[0], _density_view(mu2)[0]
 
     def outer_integrand(zbar: float) -> float:
-        return integrate_1d(lambda dz: rotated(zbar, dz), -np.inf, np.inf,
+        def inner(dz: float) -> float:
+            z1 = zbar - 0.5 * dz
+            z2 = zbar + 0.5 * dz
+            return f1(z1) * f2(z2) * point_kernel(z1, z2)
+        return integrate_1d(inner, -np.inf, np.inf,
                             abs_tol=abs_tol / 10, rel_tol=rel_tol / 10)
 
     return integrate_1d(outer_integrand, -np.inf, np.inf,
@@ -576,11 +585,8 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
         return j0j0 + _bilinear(mu, lambda m1, m2: _panel_pair(
             m1, m2, q, params, abs_tol, rel_tol)[0])
     if formula == "direct":
-        def kernel(z1, z2):
-            return two_point_kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
-                                    params)
         return _bilinear(mu, lambda m1, m2: _bilinear_primitive(
-            m1, m2, kernel, abs_tol, rel_tol))
+            m1, m2, q, params, abs_tol, rel_tol))
     raise DomainError(f"unknown two_point formula {formula!r}")
 
 
@@ -611,7 +617,7 @@ def check_membership(mu: InitialMeasure, a_grid: Sequence[float]) -> list[dict]:
             elif isinstance(term, LebesgueScaled):
                 total += term.scale * math.sqrt(math.pi / a)
             else:
-                fn = _scalar_density(term)
+                fn = _density_view(term)[0]
                 try:
                     total += integrate_1d(
                         lambda z: fn(z) * math.exp(-a * z * z),

@@ -19,6 +19,8 @@ the repository's CI gate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gaussian import (exp_phi, gaussian_product_moment_bound,
@@ -315,17 +317,18 @@ def suite_local_time() -> list[dict]:
                       (4.0, 2.0, 0.7)):
         law = JointLocalTimeLaw(t=t, a=a)
         l2 = lam * lam
-        norm = 1.0 / np.sqrt(2.0 * np.pi * t ** 3)
-
-        def tilted(y: float, v: float) -> float:
-            # exp(l2 v) * density_cont(y, v), evaluated in log space: the
-            # exponent l2 v - r^2 / 2t -> -inf since r >= v.
-            r = abs(a) + abs(y - a) + v
-            expo = l2 * v - r * r / (2.0 * t)
-            return 0.0 if expo < -745.0 else norm * r * np.exp(expo)
+        norm = 1.0 / math.sqrt(2.0 * math.pi * t ** 3)
 
         def y_integrand(y: float) -> float:
-            return integrate_1d(lambda v: tilted(y, v), 0.0, np.inf,
+            r0 = abs(a) + abs(y - a)
+
+            def tilted(v: float) -> float:
+                # exp(l2 v) * density_cont(y, v), evaluated in log space:
+                # the exponent l2 v - r^2 / 2t -> -inf since r >= v.
+                r = r0 + v
+                expo = l2 * v - r * r / (2.0 * t)
+                return 0.0 if expo < -745.0 else norm * r * math.exp(expo)
+            return integrate_1d(tilted, 0.0, np.inf,
                                 abs_tol=1e-13, rel_tol=1e-11)
 
         cont = integrate_1d(y_integrand, -np.inf, np.inf,

@@ -356,3 +356,55 @@ class TestInputBoundary:
         assert code == 3
         assert out == ""
         assert "overflow" in err
+
+
+FK_CONFIG = {"t": 1.0, "x1": 0.0, "x2": 0.5, "nu": 1.0, "lambda": 1.0,
+             "u0": {"kind": "constant", "value": 1.0},
+             "mc": {"n_paths": 100, "seed": 3}}
+SPDE_CONFIG = {"t": 0.1, "x1": 0.0, "x2": 0.0, "nu": 1.0,
+               "measure": {"type": "lebesgue", "scale": 1.0},
+               "rho": {"kind": "linear", "lam": 1.0},
+               "grid": {"L": 2.2, "dx": 0.05, "dt": 0.00125},
+               "mc": {"n_paths": 4, "seed": 0}}
+
+
+class TestNonNumericConfigFields:
+    @pytest.mark.parametrize("engine,base,section,key", [
+        ("fk", FK_CONFIG, None, "t"),
+        ("spde", SPDE_CONFIG, None, "t"),
+        ("spde", SPDE_CONFIG, "grid", "dx"),
+        ("fk", FK_CONFIG, "u0", "value"),
+        ("fk", FK_CONFIG, "mc", "n_paths"),
+    ], ids=["fk_t", "spde_t", "grid_dx", "u0_value", "mc_n_paths"])
+    @pytest.mark.parametrize("oracle", [False, True],
+                             ids=["plain", "oracle"])
+    def test_exit_2_without_output(self, capsys, tmp_path, engine, base,
+                                   section, key, oracle):
+        config = json.loads(json.dumps(base))
+        (config[section] if section else config)[key] = "x"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["simulate", "--engine", engine, "--config", str(path)]
+        code, out, err = run_cli(capsys, *argv + ["--oracle"] * oracle)
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
+
+class TestNonFiniteGrids:
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "nan:1:3",
+                                      "0:inf:3"])
+    def test_kernel_grid_exit_2(self, capsys, grid):
+        code, out, _ = run_cli(capsys, "kernel", "--which", "K", "--t", "1",
+                               f"--x={grid}")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--y", "--v"])
+    def test_local_time_density_grid_exit_2(self, capsys, flag):
+        argv = ["local-time", "density", "--t", "1", "--a", "0",
+                "--y", "0", "--v", "1"]
+        argv[argv.index(flag) + 1] = "nan"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""

@@ -2,10 +2,15 @@
 K_star, the independent oracle behind `verify`, `two-point --method
 quadrature|both` and the benchmark's post-check."""
 
+import math
+
+import numpy as np
 import pytest
 
-from she_moments.kernels import KernelParams, TwoPointQuery
-from she_moments.measures import (DiracAtoms, LebesgueScaled,
+from she_moments.errors import KernelOverflowError
+from she_moments.kernels import (KernelParams, TwoPointQuery,
+                                 two_point_kernel, two_point_kernel_at)
+from she_moments.measures import (DiracAtoms, LebesgueScaled, MeasureSum,
                                   gaussian_density, two_point)
 
 
@@ -31,3 +36,60 @@ def test_direct_values_are_pinned(name):
     value = two_point(VERIFY_QUERY, mu, KernelParams(nu=1.0, lam=1.0),
                       formula="direct")
     assert _rel(value, pinned) <= 1e-12
+
+
+def test_point_kernel_matches_the_array_kernel():
+    # The float closure against the array formula (one-element arrays take
+    # the numpy paths of heat_kernel and exp_phi), over lambda = 0, both
+    # signs of the Phi argument d, and the region where exp(c) Phi(d)
+    # overflows: there both must raise, on the same draws.
+    rng = np.random.default_rng(20261018)
+    n = 12_000
+    nu = rng.uniform(0.2, 3.0, n)
+    t = rng.uniform(0.05, 5.0, n)
+    lam = rng.uniform(0.0, 12.0, n)
+    lam[::8] = 0.0
+    x1, x2, z1, z2 = rng.uniform(-4.0, 4.0, (4, n))
+    worst = 0.0
+    seen = {"lam0": 0, "d<0": 0, "d>=0": 0, "overflow": 0}
+    for i in range(n):
+        q = TwoPointQuery(float(t[i]), float(x1[i]), float(x2[i]))
+        params = KernelParams(nu=float(nu[i]), lam=float(lam[i]))
+        try:
+            point = two_point_kernel_at(q, params)(float(z1[i]),
+                                                   float(z2[i]))
+        except KernelOverflowError:
+            point = None
+        try:
+            with np.errstate(over="ignore"):
+                array = two_point_kernel(q.t, np.array([q.x1 - z1[i]]),
+                                         np.array([q.x2 - z2[i]]),
+                                         q.x1 - q.x2, params)[0]
+        except KernelOverflowError:
+            array = None
+        assert (point is None) == (array is None), i
+        if point is None or math.isinf(point):
+            # exp(c) Phi(d) fits, but not its product with the prefactor.
+            assert point == array, i
+            seen["overflow"] += 1
+            continue
+        w = abs(q.x1 - q.x2) + abs(z1[i] - z2[i])
+        d = (params.lam2 * q.t - w) / math.sqrt(2.0 * params.nu * q.t)
+        seen["lam0" if lam[i] == 0 else "d<0" if d < 0 else "d>=0"] += 1
+        worst = max(worst, _rel(point, float(array)))
+    assert worst <= 1e-12, worst
+    assert min(seen.values()) >= 500, seen
+
+
+def test_atom_density_terms_break_at_the_atom():
+    # The sum query of round 0 of the benchmark's two-point mix at seed 201.
+    # The kernel has a kink at the atom; integrated over the whole line in
+    # one piece, QUADPACK missed its 1e-9 request by 3.5e-6 here.
+    mu = MeasureSum((DiracAtoms(((-0.6827240262051248, 0.9648813911019154),)),
+                     gaussian_density(-0.4294175027903082,
+                                      1.0568433931396757)))
+    q = TwoPointQuery(t=1.0173706368756443, x1=0.5555793260818296,
+                      x2=-0.48386799642642253)
+    params = KernelParams(nu=1.0, lam=0.8553251057646196)
+    assert _rel(two_point(q, mu, params, formula="direct"),
+                two_point(q, mu, params, formula="split")) <= 1e-9

@@ -31,17 +31,12 @@ def _rel(a, b):
 def _split_direct(q, mu, params):
     """The split form, and the direct form by the adaptive QUADPACK route of
     ``two_point(formula="direct")``.  Its atom-density terms are asked for
-    1e-12 here: at the default 1e-9 QUADPACK is not told of the kink at
-    z = atom and misses its own tolerance, by up to 4e-9 on the draws
-    below."""
-    def kernel(z1, z2):
-        return two_point_kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
-                                params)
-
+    1e-12 here, so the reference is tighter than the 1e-9 the split form
+    is held to."""
     def primitive(mu1, mu2):
         mixed = isinstance(mu1, DiracAtoms) != isinstance(mu2, DiracAtoms)
         tols = (1e-14, 1e-12) if mixed else (1e-10, 1e-9)
-        return measures._bilinear_primitive(mu1, mu2, kernel, *tols)
+        return measures._bilinear_primitive(mu1, mu2, q, params, *tols)
     return (two_point(q, mu, params, formula="split"),
             measures._bilinear(mu, primitive))
 
