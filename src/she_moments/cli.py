@@ -218,13 +218,10 @@ def _cmd_verify(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-_REQUIRED = object()
-
-
-def _field(cfg: dict, key: str, kind=float, default=_REQUIRED):
+def _field(cfg: dict, key: str, kind=float, default=None):
     """``kind(cfg[key])``, or of ``default`` when the key is absent and a
     default is given.  A value that does not convert is a ConfigError."""
-    value = cfg[key] if default is _REQUIRED else cfg.get(key, default)
+    value = cfg[key] if default is None else cfg.get(key, default)
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
