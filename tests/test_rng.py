@@ -17,6 +17,39 @@ class TestPhiloxBlock:
             words = philox4x64(counter, key_arr)[0]
             assert np.array_equal(words, raw[4 * block:4 * block + 4])
 
+    def test_random_keys_match_numpy_keystream(self):
+        rng = np.random.default_rng(20261018)
+        keys = rng.integers(0, 2**64, size=(256, 2), dtype=np.uint64)
+        counters = np.zeros((4, 4), dtype=np.uint64)
+        counters[:, 0] = np.arange(1, 5, dtype=np.uint64)
+        for key in keys:
+            raw = np.random.Philox(key=key).random_raw(16).reshape(4, 4)
+            assert np.array_equal(philox4x64(counters, key[None, :]), raw)
+
+    def test_counter_low_word_carry(self):
+        # numpy's counter increments from (2**64 - 1, 0, 0, 0) to
+        # (0, 1, 0, 0): the low word wraps and carries into the next word.
+        key = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210],
+                       dtype=np.uint64)
+        bg = np.random.Philox(counter=np.array([2**64 - 2, 0, 0, 0],
+                                               dtype=np.uint64), key=key)
+        raw = bg.random_raw(8)
+        counters = np.array([[2**64 - 1, 0, 0, 0], [0, 1, 0, 0]],
+                            dtype=np.uint64)
+        assert np.array_equal(philox4x64(counters, key).ravel(), raw)
+
+    def test_broadcast_key(self):
+        key = np.array([77, 88], dtype=np.uint64)
+        counters = np.array([[k, 3 * k, 0, 2**63 + k] for k in range(6)],
+                            dtype=np.uint64)
+        batch = philox4x64(counters, key)
+        assert batch.shape == (6, 4)
+        tiled = philox4x64(counters, np.tile(key, (6, 1)))
+        assert np.array_equal(batch, tiled)
+        for i in range(6):
+            assert np.array_equal(batch[i],
+                                  philox4x64(counters[i], key))
+
     def test_vectorised_consistency(self):
         keys = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.uint64)
         counters = np.tile(np.array([7, 0, 0, 0], dtype=np.uint64), (3, 1))
