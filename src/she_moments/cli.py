@@ -229,6 +229,16 @@ def _field(cfg: dict, key: str, kind=float, default=None):
                           f"got {value!r}") from exc
 
 
+def _section(cfg: dict, key: str, default=None) -> dict:
+    """``cfg[key]``, or ``default`` when the key is absent and a default is
+    given.  A section that is not a JSON object is a ConfigError."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {key!r} must be an object, "
+                          f"got {value!r}")
+    return value
+
+
 def _query_fields(config: dict) -> tuple[TwoPointQuery, float, float]:
     """The query, nu and lambda of a simulate config."""
     t, x1, x2, nu, lam = (_field(config, "t"),
@@ -253,7 +263,7 @@ def _oracle_value(engine: str, config: dict) -> float:
     q, nu, lam = _query_fields(config)
     params = KernelParams(nu=nu, lam=lam)
     if engine == "spde":
-        rho = RhoSpec.from_config(config["rho"])
+        rho = RhoSpec.from_config(_section(config, "rho"))
         if rho.kind != "linear":
             raise ConfigError("--oracle requires a linear rho preset")
         mu = parse_measure(config["measure"])
@@ -261,7 +271,7 @@ def _oracle_value(engine: str, config: dict) -> float:
             raise ConfigError("--oracle requires an atoms or lebesgue measure")
         return two_point(q, mu, KernelParams(nu=nu, lam=rho.lam),
                          formula="split")
-    u0 = config.get("u0", {})
+    u0 = _section(config, "u0", {})
     if u0.get("kind") != "constant":
         raise ConfigError("--oracle for fk engines requires constant u0")
     c = _field(u0, "value")
@@ -271,14 +281,15 @@ def _oracle_value(engine: str, config: dict) -> float:
 def _run_engine(engine: str, config: dict, mc: McConfig):
     q, nu, lam = _query_fields(config)
     if engine == "spde":
-        gcfg = config["grid"]
+        gcfg = _section(config, "grid")
         grid = SpdeGrid(L=_field(gcfg, "L"), dx=_field(gcfg, "dx"),
                         dt=_field(gcfg, "dt"), t_final=q.t,
                         boundary=gcfg.get("boundary", "neumann0"))
         mu = parse_measure(config["measure"])
-        rho = RhoSpec.from_config(config["rho"])
+        rho = RhoSpec.from_config(_section(config, "rho"))
         return spde_estimate_two_point(q, mu, rho, nu, grid, mc)
-    u0 = _u0_from_config(config.get("u0", {"kind": "constant", "value": 1.0}))
+    u0 = _u0_from_config(_section(config, "u0",
+                                  {"kind": "constant", "value": 1.0}))
     if engine == "fk":
         return fk_two_point(q, u0, nu, lam, mc)
     if engine == "fk-occupation":
@@ -303,7 +314,9 @@ def _cmd_simulate(args) -> int:
             config = json.load(fh)
         engine = args.engine
         seed = args.seed
-    mc_cfg = dict(config.get("mc", {}))
+    if not isinstance(config, dict):
+        raise ConfigError(f"simulate config must be an object, got {config!r}")
+    mc_cfg = dict(_section(config, "mc", {}))
     if seed is not None:
         mc_cfg["seed"] = seed
     if args.paths is not None:

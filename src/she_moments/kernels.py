@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, KernelOverflowError
 from .gaussian import exp_phi, heat_kernel, normal_cdf
 
 
@@ -165,8 +165,13 @@ def covariance_kernel(t: float, z1, z2, y, params: KernelParams):
     w = np.abs(y) + np.abs(y - (np.asarray(z1) - np.asarray(z2)))
     val = exp_phi(l2 / (4.0 * nu) * (l2 * t - 2.0 * w),
                   (l2 * t - w) / np.sqrt(2.0 * nu * t))
-    return l2 / (2.0 * nu) * heat_kernel(t, 0.5 * (np.asarray(z1) + np.asarray(z2)),
-                                         nu / 2.0) * val
+    # exp_phi can fit while its product with the prefactor does not.
+    with np.errstate(over="ignore"):
+        out = l2 / (2.0 * nu) * heat_kernel(
+            t, 0.5 * (np.asarray(z1) + np.asarray(z2)), nu / 2.0) * val
+    if not np.all(np.isfinite(out)):
+        raise KernelOverflowError("K_dag overflows double precision")
+    return out
 
 
 def two_point_kernel(t: float, z1, z2, y, params: KernelParams):
@@ -201,9 +206,12 @@ def two_point_kernel_at(q: TwoPointQuery, params: KernelParams):
         b = x2 - z2
         u = 0.5 * (a + b)
         w = adx + abs(z1 - z2)
-        return (prod_norm * math.exp(-(a * a + b * b) / two_var)
-                + bar_norm * math.exp(-u * u / var)
-                * exp_phi(c_scale * (l2t - 2.0 * w), (l2t - w) / srt))
+        val = (prod_norm * math.exp(-(a * a + b * b) / two_var)
+               + bar_norm * math.exp(-u * u / var)
+               * exp_phi(c_scale * (l2t - 2.0 * w), (l2t - w) / srt))
+        if math.isinf(val):
+            raise KernelOverflowError("K_star overflows double precision")
+        return val
 
     return kernel
 

@@ -391,6 +391,55 @@ class TestNonNumericConfigFields:
         assert repr(key) in err
 
 
+class TestNonObjectConfigSections:
+    @pytest.mark.parametrize("engine,base,section,value,code", [
+        ("fk", FK_CONFIG, "u0", 3, 2),
+        ("fk", FK_CONFIG, "mc", [1], 2),
+        ("spde", SPDE_CONFIG, "mc", "x", 2),
+        ("spde", SPDE_CONFIG, "grid", 5, 2),
+        ("spde", SPDE_CONFIG, "rho", [1.0], 2),
+        ("spde", SPDE_CONFIG, "measure", 2.5, 4),
+    ], ids=["fk_u0", "fk_mc", "spde_mc", "spde_grid", "spde_rho",
+            "spde_measure"])
+    @pytest.mark.parametrize("oracle", [False, True],
+                             ids=["plain", "oracle"])
+    def test_exit_code_without_output(self, capsys, tmp_path, engine, base,
+                                      section, value, code, oracle):
+        # A measure spec that is not an object is a measure error (exit 4),
+        # as it is for two-point --measure; other sections are config
+        # errors (exit 2).
+        config = dict(base, **{section: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["simulate", "--engine", engine, "--config", str(path)]
+        rc, out, err = run_cli(capsys, *argv + ["--oracle"] * oracle)
+        assert rc == code
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [[1], 3, "t"])
+    def test_top_level_not_an_object_exit_2(self, capsys, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc, out, _ = run_cli(capsys, "simulate", "--engine", "fk",
+                             "--config", str(path))
+        assert rc == 2
+        assert out == ""
+
+
+class TestKernelProductOverflow:
+    @pytest.mark.parametrize("which", ["Kstar", "Kdagger"])
+    def test_exit_3_without_output(self, capsys, which):
+        rc, out, err = run_cli(
+            capsys, "kernel", "--which", which, "--t", "3.058581061479496",
+            "--nu", "1.1481095960311858", "--lambda", "5.839318305926894",
+            "--z1", "-0.77222639115696", "--z2", "0.4822025900632321",
+            "--y", "1.5830200134868129")
+        assert rc == 3
+        assert out == ""
+        assert "overflows" in err
+
+
 class TestNonFiniteGrids:
     @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "nan:1:3",
                                       "0:inf:3"])

@@ -266,6 +266,38 @@ def test_intermittent_blowup_raises_not_inf():
         two_point_lebesgue(TwoPointQuery(t=3000.0, x1=0.0, x2=0.0), P11)
 
 
+# exp(c) Phi(d) fits in double precision here, but its product with the
+# prefactor (lam^2 / 2 nu) G_{nu/2} does not.
+PRODUCT_OVERFLOW = dict(t=3.058581061479496, z1=-0.77222639115696,
+                        z2=0.4822025900632321, y=1.5830200134868129,
+                        params=KernelParams(nu=1.1481095960311858,
+                                            lam=5.839318305926894))
+
+
+def test_covariance_kernel_product_overflow_raises():
+    from she_moments.errors import KernelOverflowError
+    c = PRODUCT_OVERFLOW
+    with pytest.raises(KernelOverflowError):
+        covariance_kernel(c["t"], c["z1"], c["z2"], c["y"], c["params"])
+    # One overflowing element in an array is enough.
+    z1 = np.array([0.0, c["z1"]])
+    with pytest.raises(KernelOverflowError):
+        covariance_kernel(c["t"], z1, c["z2"], c["y"], c["params"])
+    with pytest.raises(KernelOverflowError):
+        two_point_kernel(c["t"], z1, c["z2"], c["y"], c["params"])
+
+
+def test_two_point_kernel_at_product_overflow_raises():
+    from she_moments.errors import KernelOverflowError
+    from she_moments.kernels import two_point_kernel_at
+    c = PRODUCT_OVERFLOW
+    x1, x2 = 0.0, -c["y"]
+    kernel = two_point_kernel_at(TwoPointQuery(c["t"], x1, x2), c["params"])
+    with pytest.raises(KernelOverflowError):
+        kernel(x1 - c["z1"], x2 - c["z2"])
+    assert np.isfinite(kernel(x1 - 20.0, x2 + 20.0))
+
+
 @pytest.mark.parametrize("nu", [np.inf, np.nan])
 def test_kernel_params_reject_non_finite_nu(nu):
     with pytest.raises(DomainError):
