@@ -22,19 +22,20 @@ from __future__ import annotations
 
 import numpy as np
 
-# Philox4x64 multipliers, split into 32-bit halves once, and Weyl key
-# increments.
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
+_INV53 = float(2.0 ** -53)
+
+# Philox4x64-10: the multipliers as (m, m_hi, m_lo), split into 32-bit
+# halves once, and the Weyl key increments.
+_ROUNDS = 10
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
 _M0_SPLIT = (_M0, _M0 >> _SH32, _M0 & _MASK32)
 _M1_SPLIT = (_M1, _M1 >> _SH32, _M1 & _MASK32)
 _W0 = np.uint64(0x9E3779B97F4A7C15)
 _W1 = np.uint64(0xBB67AE8584CAA73B)
-_INV53 = float(2.0 ** -53)
-_ROUNDS = 10
 
 # Domain tags keep independent consumers off each other's streams.
 DOMAIN_SPDE = 0x53504445        # "SPDE"
