@@ -25,7 +25,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -220,13 +219,17 @@ def _cmd_verify(args) -> int:
 
 def _field(cfg: dict, key: str, kind=float, default=None):
     """``kind(cfg[key])``, or of ``default`` when the key is absent and a
-    default is given.  A value that does not convert is a ConfigError."""
+    default is given.  A value that does not convert, or is not finite, is
+    a ConfigError."""
     value = cfg[key] if default is None else cfg.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config field {key!r} must be a number, "
                           f"got {value!r}") from exc
+    raise ConfigError(f"config field {key!r} must be finite, got {value!r}")
 
 
 def _section(cfg: dict, key: str, default=None) -> dict:
@@ -239,63 +242,66 @@ def _section(cfg: dict, key: str, default=None) -> dict:
     return value
 
 
-def _query_fields(config: dict) -> tuple[TwoPointQuery, float, float]:
-    """The query, nu and lambda of a simulate config."""
-    t, x1, x2, nu, lam = (_field(config, "t"),
-                          _field(config, "x1", default=0.0),
-                          _field(config, "x2", default=0.0),
-                          _field(config, "nu", default=1.0),
-                          _field(config, "lambda", default=0.0))
-    return TwoPointQuery(t=t, x1=x1, x2=x2), nu, lam
+def _simulation(engine: str, config: dict, overrides: dict):
+    """Read every field of a simulate config once, with ``overrides``
+    replacing entries of its ``mc`` section.  Returns the Monte Carlo
+    settings and two thunks over the same typed objects: the closed-form
+    oracle, whose own requirements wait until it is called, and the run."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"simulate config must be an object, got {config!r}")
+    mc_cfg = dict(_section(config, "mc", {}), **overrides)
+    mc = McConfig(n_paths=_field(mc_cfg, "n_paths", int, 10000),
+                  seed=_field(mc_cfg, "seed", int, 0),
+                  batch_size=_field(mc_cfg, "batch_size", int, 256),
+                  workers=_field(mc_cfg, "workers", int, 1))
+    q = TwoPointQuery(t=_field(config, "t"),
+                      x1=_field(config, "x1", default=0.0),
+                      x2=_field(config, "x2", default=0.0))
+    nu = _field(config, "nu", default=1.0)
+    lam = _field(config, "lambda", default=0.0)  # spde couples via rho.lam
 
-
-def _u0_from_config(cfg: dict) -> BoundedInitialData:
-    kind = cfg.get("kind")
-    if kind == "constant":
-        return BoundedInitialData.constant(_field(cfg, "value"))
-    if kind == "indicator":
-        return BoundedInitialData.indicator(_field(cfg, "lo"),
-                                            _field(cfg, "hi"))
-    raise ConfigError(f"unknown u0 kind {kind!r}")
-
-
-def _oracle_value(engine: str, config: dict) -> float:
-    q, nu, lam = _query_fields(config)
-    params = KernelParams(nu=nu, lam=lam)
-    if engine == "spde":
-        rho = RhoSpec.from_config(_section(config, "rho"))
-        if rho.kind != "linear":
-            raise ConfigError("--oracle requires a linear rho preset")
-        mu = parse_measure(config["measure"])
-        if not isinstance(mu, (DiracAtoms, LebesgueScaled)):
-            raise ConfigError("--oracle requires an atoms or lebesgue measure")
-        return two_point(q, mu, KernelParams(nu=nu, lam=rho.lam),
-                         formula="split")
-    u0 = _section(config, "u0", {})
-    if u0.get("kind") != "constant":
-        raise ConfigError("--oracle for fk engines requires constant u0")
-    c = _field(u0, "value")
-    return c * c * two_point_lebesgue(q, params)
-
-
-def _run_engine(engine: str, config: dict, mc: McConfig):
-    q, nu, lam = _query_fields(config)
     if engine == "spde":
         gcfg = _section(config, "grid")
         grid = SpdeGrid(L=_field(gcfg, "L"), dx=_field(gcfg, "dx"),
                         dt=_field(gcfg, "dt"), t_final=q.t,
                         boundary=gcfg.get("boundary", "neumann0"))
         mu = parse_measure(config["measure"])
-        rho = RhoSpec.from_config(_section(config, "rho"))
-        return spde_estimate_two_point(q, mu, rho, nu, grid, mc)
-    u0 = _u0_from_config(_section(config, "u0",
-                                  {"kind": "constant", "value": 1.0}))
+        rcfg = _section(config, "rho")
+        rho = RhoSpec(rcfg["kind"], lam=_field(rcfg, "lam", default=0.0),
+                      clip=_field(rcfg, "clip", default=0.0))
+
+        def spde_oracle() -> float:
+            if rho.kind != "linear":
+                raise ConfigError("--oracle requires a linear rho preset")
+            if not isinstance(mu, (DiracAtoms, LebesgueScaled)):
+                raise ConfigError("--oracle requires an atoms or lebesgue "
+                                  "measure")
+            return two_point(q, mu, KernelParams(nu=nu, lam=rho.lam),
+                             formula="split")
+        return mc, spde_oracle, lambda: spde_estimate_two_point(
+            q, mu, rho, nu, grid, mc)
+
+    ucfg = _section(config, "u0", {"kind": "constant", "value": 1.0})
+    kind = ucfg.get("kind")
+    if kind == "constant":
+        c = _field(ucfg, "value")
+        u0 = BoundedInitialData.constant(c)
+    elif kind == "indicator":
+        u0 = BoundedInitialData.indicator(_field(ucfg, "lo"),
+                                          _field(ucfg, "hi"))
+    else:
+        raise ConfigError(f"unknown u0 kind {kind!r}")
+
+    def fk_oracle() -> float:
+        if kind != "constant":
+            raise ConfigError("--oracle for fk engines requires constant u0")
+        return c * c * two_point_lebesgue(q, KernelParams(nu=nu, lam=lam))
     if engine == "fk":
-        return fk_two_point(q, u0, nu, lam, mc)
+        return mc, fk_oracle, lambda: fk_two_point(q, u0, nu, lam, mc)
     if engine == "fk-occupation":
-        return fk_two_point_occupation(q, u0, nu, lam, mc,
-                                       eps=_field(config, "eps"),
-                                       n_steps=_field(config, "n_steps", int))
+        eps, n_steps = _field(config, "eps"), _field(config, "n_steps", int)
+        return mc, fk_oracle, lambda: fk_two_point_occupation(
+            q, u0, nu, lam, mc, eps=eps, n_steps=n_steps)
     raise ConfigError(f"unknown engine {engine!r}")
 
 
@@ -303,10 +309,11 @@ def _cmd_simulate(args) -> int:
     if args.from_manifest:
         with open(args.from_manifest) as fh:
             previous = json.load(fh)
-        manifest = previous["manifest"]
-        engine = manifest["config_echo"]["engine"]
-        config = manifest["config_echo"]["config"]
-        seed = manifest["seed"]
+        if not isinstance(previous, dict):
+            raise ConfigError(f"a run file must be an object, got {previous!r}")
+        manifest = _section(previous, "manifest")
+        echo = _section(manifest, "config_echo")
+        engine, config, seed = echo["engine"], echo["config"], manifest["seed"]
     else:
         if not args.config:
             raise ConfigError("either --config or --from-manifest is required")
@@ -314,26 +321,14 @@ def _cmd_simulate(args) -> int:
             config = json.load(fh)
         engine = args.engine
         seed = args.seed
-    if not isinstance(config, dict):
-        raise ConfigError(f"simulate config must be an object, got {config!r}")
-    mc_cfg = dict(_section(config, "mc", {}))
-    if seed is not None:
-        mc_cfg["seed"] = seed
-    if args.paths is not None:
-        mc_cfg["n_paths"] = args.paths
-    if args.workers is not None:
-        mc_cfg["workers"] = args.workers
-    elif "workers" not in mc_cfg:
-        mc_cfg["workers"] = int(os.environ.get("SHE_MOMENTS_WORKERS", "1"))
-    mc = McConfig(n_paths=_field(mc_cfg, "n_paths", int, 10000),
-                  seed=_field(mc_cfg, "seed", int, 0),
-                  batch_size=_field(mc_cfg, "batch_size", int, 256),
-                  workers=_field(mc_cfg, "workers", int, 1))
+    overrides = {"seed": seed, "n_paths": args.paths, "workers": args.workers}
+    mc, oracle, run = _simulation(engine, config, {
+        key: value for key, value in overrides.items() if value is not None})
 
     # The oracle is cheap and may be out of range (exp overflow at large
     # lambda); find that out before paying for the Monte Carlo.
-    oracle = _oracle_value(engine, config) if args.oracle else None
-    estimate = _run_engine(engine, config, mc)
+    oracle_value = oracle() if args.oracle else None
+    estimate = run()
 
     echo = {"engine": engine, "config": config,
             "mc": {"n_paths": mc.n_paths, "seed": mc.seed,
@@ -346,13 +341,11 @@ def _cmd_simulate(args) -> int:
         "config_echo": echo,
         "manifest": _manifest("simulate", echo, mc.seed),
     }
-    if oracle is not None:
-        diff = estimate.value - oracle
-        if estimate.std_error > 0:
-            z = diff / estimate.std_error
-        else:
-            z = 0.0 if diff == 0 else math.inf
-        out["oracle"] = {"value": oracle, "z_score": z}
+    if oracle_value is not None:
+        # With no spread there is nothing to scale the difference by.
+        z = ((estimate.value - oracle_value) / estimate.std_error
+             if estimate.std_error > 0 else None)
+        out["oracle"] = {"value": oracle_value, "z_score": z}
     _write_json(out, args.out)
     return EXIT_OK
 

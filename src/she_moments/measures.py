@@ -43,9 +43,6 @@ Measures parse from a declarative JSON object::
     {"type": "lebesgue", "scale": c}
     {"type": "gaussian", "mean": m, "var": v, "mass": c}
     {"type": "sum", "terms": [ ... ]}
-
-The parsed object is kept verbatim on the measure (``.config``) so batch
-outputs can echo it bit-exactly.
 """
 
 from __future__ import annotations
@@ -99,8 +96,6 @@ class GrowthCertificate:
 
 class InitialMeasure:
     """Base class; see the concrete variants below."""
-
-    config: dict | None = None
 
     def primitive_terms(self) -> list["InitialMeasure"]:
         return [self]
@@ -247,7 +242,7 @@ def gaussian_density(mean: float, var: float, mass: float = 1.0) -> DensityMeasu
 
 
 def parse_measure(obj: dict) -> InitialMeasure:
-    """Build a measure from its declarative JSON form (echoed on ``.config``)."""
+    """Build a measure from its declarative JSON form."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InadmissibleMeasureError(f"measure spec must be an object with a "
                                        f"'type' key, got {obj!r}")
@@ -272,7 +267,6 @@ def parse_measure(obj: dict) -> InitialMeasure:
             raise
         raise InadmissibleMeasureError(
             f"malformed {kind!r} measure spec: {exc}") from exc
-    object.__setattr__(mu, "config", obj)
     return mu
 
 

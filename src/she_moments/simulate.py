@@ -138,6 +138,8 @@ class SpdeGrid:
         return idx
 
     def check_cfl(self, nu: float) -> None:
+        if not (nu > 0):
+            raise DomainError(f"the SPDE scheme requires nu > 0, got {nu}")
         if self.dt > self.dx ** 2 / nu * (1.0 + 1e-12):
             raise ConfigError(
                 f"CFL violation: dt={self.dt} exceeds dx^2/nu="
@@ -192,19 +194,6 @@ class RhoSpec:
             return np.zeros_like(u)
         out.fill(0.0)
         return out
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.kind != "zero":
-            cfg["lam"] = self.lam
-        if self.kind == "clipped":
-            cfg["clip"] = self.clip
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "RhoSpec":
-        return cls(cfg["kind"], lam=cfg.get("lam", 0.0),
-                   clip=cfg.get("clip", 0.0))
 
 
 @dataclass(frozen=True)
@@ -288,25 +277,23 @@ def _spde_step(u: np.ndarray, lap: np.ndarray, r: float, dirichlet: bool,
         u[:, 0] = u[:, -1] = 0.0
 
 
-def _run_spde_batch(grid: SpdeGrid, u0_field: np.ndarray, rho: RhoSpec,
-                    nu: float, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Evolve paths [lo, hi) to t_final; returns fields (hi-lo, n_nodes)."""
-    n_paths = hi - lo
+def _evolve(grid: SpdeGrid, u: np.ndarray, rho: RhoSpec, nu: float,
+            gens: list) -> None:
+    """Evolve the fields ``u`` (row ``p`` driven by ``gens[p]``) to t_final,
+    in place.  Noise is drawn in chunks of steps; one stream drawn in chunks
+    gives the same normals as per-step draws."""
     nx = grid.n_nodes
     n_steps = grid.n_time_steps
     r = nu * grid.dt / (2.0 * grid.dx ** 2)
     noise_scale = math.sqrt(grid.dt) / math.sqrt(grid.dx)
     dirichlet = grid.boundary == "dirichlet0"
-
-    u = np.tile(u0_field, (n_paths, 1))
-    gens = [path_generator(seed, DOMAIN_SPDE, i) for i in range(lo, hi)]
     chunk = max(1, 65536 // nx)
 
     lap = np.empty_like(u)
     tmp = None if rho.is_zero else np.empty_like(u)
-    # One noise buffer for the whole batch, filled in place path by path.
+    # One noise buffer for all fields, filled in place row by row.
     noise = (None if rho.is_zero
-             else np.empty((n_paths, min(chunk, n_steps), nx)))
+             else np.empty((len(gens), min(chunk, n_steps), nx)))
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
@@ -319,6 +306,14 @@ def _run_spde_batch(grid: SpdeGrid, u0_field: np.ndarray, rho: RhoSpec,
                 _spde_step(u, lap, r, dirichlet, rho,
                            None if noise is None else noise[:, k, :], tmp)
             step += this_chunk
+
+
+def _run_spde_batch(grid: SpdeGrid, u0_field: np.ndarray, rho: RhoSpec,
+                    nu: float, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Evolve paths [lo, hi) to t_final; returns fields (hi-lo, n_nodes)."""
+    u = np.tile(u0_field, (hi - lo, 1))
+    _evolve(grid, u, rho, nu,
+            [path_generator(seed, DOMAIN_SPDE, i) for i in range(lo, hi)])
     return u
 
 
@@ -327,31 +322,18 @@ def spde_solve_path(grid: SpdeGrid, mu: InitialMeasure, rho: RhoSpec,
     """One field sample at ``t_final`` on the grid nodes.
 
     Explicit Euler with space-time white noise discretised as iid normals
-    scaled by ``sqrt(dt / dx)`` per cell.  Raises DivergenceError naming the
-    step if the field leaves double precision (coarse grids with strong
-    coupling can blow up; this is reported, never clipped).
+    scaled by ``sqrt(dt / dx)`` per cell.  Raises DivergenceError if the
+    field leaves double precision (coarse grids with strong coupling can
+    blow up; this is reported, never clipped).  A non-finite interior node
+    stays non-finite, so checking the final field suffices.
     """
-    if not (nu > 0):
-        raise DomainError(f"spde_solve_path requires nu > 0, got {nu}")
     grid.check_cfl(nu)
-    u = _initial_field(grid, mu)[None, :].copy()
-    n_steps = grid.n_time_steps
-    r = nu * grid.dt / (2.0 * grid.dx ** 2)
-    noise_scale = math.sqrt(grid.dt) / math.sqrt(grid.dx)
-    dirichlet = grid.boundary == "dirichlet0"
-    lap = np.empty_like(u)
-    tmp = None if rho.is_zero else np.empty_like(u)
-    noise = None if rho.is_zero else np.empty_like(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            if noise is not None:
-                rng.standard_normal(out=noise)
-                noise *= noise_scale
-            _spde_step(u, lap, r, dirichlet, rho, noise, tmp)
-            if not np.all(np.isfinite(u)):
-                raise DivergenceError(
-                    f"field diverged at step {k + 1} of {n_steps}",
-                    n_divergent=1, n_total=1)
+    u = _initial_field(grid, mu)[None, :]
+    _evolve(grid, u, rho, nu, [rng])
+    if not np.all(np.isfinite(u)):
+        raise DivergenceError(
+            f"field diverged within {grid.n_time_steps} steps",
+            n_divergent=1, n_total=1)
     return u[0]
 
 
@@ -368,9 +350,6 @@ def spde_lattice_second_moment(grid: SpdeGrid, mu: InitialMeasure,
     the continuum two-point function at O(dx) (Walsh 1986; Bertini &
     Cancrini, J. Stat. Phys. 78, 1995).
     """
-    if not (nu > 0):
-        raise DomainError(f"spde_lattice_second_moment requires nu > 0, "
-                          f"got {nu}")
     grid.check_cfl(nu)
     u0 = _initial_field(grid, mu)
     m = np.outer(u0, u0)
@@ -496,6 +475,9 @@ def fk_two_point_occupation(q: TwoPointQuery, u0: BoundedInitialData,
     the occupation integral by a trapezoid sum.  Biased (bias -> 0 as
     ``eps`` and ``t / n_steps`` -> 0); serves as a third, independent check.
     """
+    if not (nu > 0):
+        raise DomainError(f"fk_two_point_occupation requires nu > 0, "
+                          f"got {nu}")
     if not (eps > 0):
         raise ConfigError(f"eps must be > 0, got {eps}")
     if n_steps < 1:

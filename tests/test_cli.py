@@ -8,7 +8,8 @@ import pytest
 from she_moments import cli
 from she_moments.cli import build_parser, main
 from she_moments.gaussian import heat_kernel
-from she_moments.kernels import mgf_local_time
+from she_moments.kernels import (KernelParams, TwoPointQuery, mgf_local_time,
+                                 two_point_lebesgue)
 
 
 def run_cli(capsys, *argv):
@@ -457,3 +458,93 @@ class TestNonFiniteGrids:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
+
+
+def _simulate(capsys, tmp_path, engine, config, *extra):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return run_cli(capsys, "simulate", "--engine", engine, "--config",
+                   str(path), *extra)
+
+
+class TestSimulateConfigBoundary:
+    @pytest.mark.parametrize("section,key,value", [
+        ("rho", "lam", "x"),
+        ("rho", "lam", float("nan")),
+        ("grid", "dx", float("nan")),
+        ("grid", "L", float("inf")),
+        ("mc", "n_paths", float("inf")),
+    ], ids=["rho_lam_str", "rho_lam_nan", "grid_dx_nan", "grid_L_inf",
+            "mc_n_paths_inf"])
+    @pytest.mark.parametrize("oracle", [False, True],
+                             ids=["plain", "oracle"])
+    def test_bad_number_exit_2(self, capsys, tmp_path, section, key, value,
+                               oracle):
+        config = json.loads(json.dumps(SPDE_CONFIG))
+        config[section][key] = value
+        code, out, err = _simulate(capsys, tmp_path, "spde", config,
+                                   *["--oracle"] * oracle)
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_clip_not_a_number_exit_2(self, capsys, tmp_path):
+        config = dict(SPDE_CONFIG, rho={"kind": "clipped", "lam": 1.0,
+                                        "clip": "x"})
+        code, out, err = _simulate(capsys, tmp_path, "spde", config)
+        assert code == 2
+        assert out == ""
+        assert "'clip'" in err
+
+    @pytest.mark.parametrize("previous", [
+        [1], {"manifest": 3}, {"manifest": {"config_echo": [], "seed": 1}},
+        {"manifest": {"config_echo": {"engine": "fk", "config": FK_CONFIG},
+                      "seed": "x"}},
+    ], ids=["list", "manifest_int", "echo_list", "seed_str"])
+    def test_malformed_run_file_exit_2(self, capsys, tmp_path, previous):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(previous))
+        code, out, err = run_cli(capsys, "simulate", "--from-manifest",
+                                 str(path))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_workers_variable_not_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SHE_MOMENTS_WORKERS", "two")
+        code, out, _ = _simulate(capsys, tmp_path, "fk", FK_CONFIG)
+        assert code == 0
+        assert json.loads(out)["config_echo"]["mc"]["workers"] == 1
+
+    def test_fk_oracle_defaults_to_unit_u0(self, capsys, tmp_path):
+        config = {k: v for k, v in FK_CONFIG.items() if k != "u0"}
+        code, out, _ = _simulate(capsys, tmp_path, "fk", config, "--oracle")
+        assert code == 0
+        want = two_point_lebesgue(TwoPointQuery(t=1.0, x1=0.0, x2=0.5),
+                                  KernelParams(nu=1.0, lam=1.0))
+        assert json.loads(out)["oracle"]["value"] == want
+
+    @pytest.mark.parametrize("change", [{"lambda": 0.0},
+                                        {"mc": {"n_paths": 1, "seed": 3}}],
+                             ids=["lambda_0", "one_path"])
+    def test_zero_spread_z_score_is_null(self, capsys, tmp_path, change):
+        code, out, _ = _simulate(capsys, tmp_path, "fk",
+                                 dict(FK_CONFIG, **change), "--oracle")
+        assert code == 0
+        result = json.loads(out)
+        assert result["std_error"] == 0.0
+        assert result["oracle"]["z_score"] is None
+        assert "Infinity" not in out and "NaN" not in out
+
+    @pytest.mark.parametrize("engine,base", [
+        ("fk-occupation", dict(FK_CONFIG, eps=0.01, n_steps=10)),
+        ("spde", SPDE_CONFIG),
+    ], ids=["fk_occupation", "spde"])
+    @pytest.mark.parametrize("nu", [0.0, -1.0])
+    def test_non_positive_nu_exit_3(self, capsys, tmp_path, engine, base,
+                                    nu):
+        code, out, err = _simulate(capsys, tmp_path, engine,
+                                   dict(base, nu=nu))
+        assert code == 3
+        assert out == ""
+        assert "nu > 0" in err

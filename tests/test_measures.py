@@ -23,7 +23,6 @@ class TestParsing:
         mu = parse_measure(cfg)
         assert isinstance(mu, DiracAtoms)
         assert mu.atoms == ((0.0, 1.0), (1.5, -0.5))
-        assert mu.config is cfg
 
     def test_lebesgue(self):
         mu = parse_measure({"type": "lebesgue", "scale": 2.5})

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from she_moments.errors import ConfigError, DivergenceError
+from she_moments.errors import ConfigError, DivergenceError, DomainError
 from she_moments.gaussian import heat_kernel
 from she_moments.kernels import KernelParams, TwoPointQuery, two_point_lebesgue
 from she_moments.measures import DiracAtoms, LebesgueScaled, gaussian_density
@@ -49,8 +49,6 @@ class TestConfigs:
         assert clip.lip_upper == 2.0
         zero = RhoSpec.zero()
         assert zero.is_zero
-        rebuilt = RhoSpec.from_config(clip.to_config())
-        assert rebuilt.kind == "clipped" and rebuilt.clip == 1.5
 
     def test_u0_presets(self):
         const = BoundedInitialData.constant(2.0)
@@ -253,6 +251,14 @@ class TestOccupationEngine:
             fk_two_point_occupation(q, u0, 1.0, 1.0,
                                     McConfig(n_paths=10, seed=0),
                                     eps=1e-3, n_steps=0)
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+    def test_non_positive_nu_is_a_domain_error(self, nu):
+        q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
+        with pytest.raises(DomainError, match="nu > 0"):
+            fk_two_point_occupation(q, BoundedInitialData.constant(1.0), nu,
+                                    1.0, McConfig(n_paths=10, seed=0),
+                                    eps=1e-3, n_steps=10)
 
     def test_joint_refinement_reduces_bias_on_average(self):
         # Trend over seeds, not per-seed: shrinking the mollification width
