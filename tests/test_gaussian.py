@@ -110,6 +110,64 @@ class TestExpPhi:
         assert out[0] == pytest.approx(normal_cdf(-1.0), rel=1e-13)
 
 
+# exp(c) * Phi(d) at 30 points over c in [-50, 709], d in [-37, 40]: each
+# reference was computed once with mpmath at 40 significant digits,
+#     mpmath.mp.dps = 40; float(mpmath.exp(c) * mpmath.ncdf(d)),
+# and rounded to the nearest double (mpmath is not a dependency).
+EXP_PHI_REFERENCE = [
+    (0.0, 0.0, 0.5),
+    (0.0, 0.7, 0.758036347776927),
+    (0.0, -0.7, 0.24196365222307303),
+    (0.0, 0.001, 0.500398942213911),
+    (0.0, -0.001, 0.49960105778608893),
+    (0.0, 5.0, 0.9999997133484281),
+    (0.0, -5.0, 2.866515718791939e-07),
+    (0.0, -20.0, 2.7536241186062337e-89),
+    (0.0, -37.0, 5.725571222524577e-300),
+    (-50.0, 40.0, 1.9287498479639178e-22),
+    (-50.0, -3.0, 2.6036156232733368e-25),
+    (-12.5, 0.3, 2.302741561564103e-06),
+    (1.0, -8.0, 1.6910324084603137e-15),
+    (3.7, 2.2, 39.884947386834696),
+    (25.0, -6.5, 2.8917171777965867),
+    (80.0, -12.0, 98.42816555652249),
+    (150.0, 1.0, 1.1725902332390506e+65),
+    (300.0, -24.0, 2700.7343508063527),
+    (450.0, -29.5, 38969.14237782525),
+    (600.0, -30.0, 1.851313125798578e+63),
+    (700.0, -0.5, 3.129286618649387e+303),
+    (700.0, 3.0, 1.0128629448807016e+304),
+    (705.0, -2.0, 3.424472331769018e+304),
+    (709.0, 8.0, 8.218407461554967e+307),
+    (709.0, -37.0, 470550772.56860405),
+    (695.0, 40.0, 6.833841829578011e+301),
+    (10.0, -37.0, 1.2611409868866727e-295),
+    (200.0, -19.9, 0.14702278454159207),
+    (0.25, -1.5, 0.08578214444698729),
+    (42.0, 17.0, 1.739274941520501e+18),
+]
+
+
+class TestExpPhiAccuracy:
+    """exp(c + log Phi(d)) loses about |c| + d^2/2 ulps in the exponent, the
+    same error class as the erfcx form: the bound is 4 eps (1 + |c| + d^2/2)."""
+
+    @staticmethod
+    def bound(c, d):
+        return 4.0 * np.finfo(float).eps * (1.0 + np.abs(c) + 0.5 * d * d)
+
+    @pytest.mark.parametrize("c, d, ref", EXP_PHI_REFERENCE)
+    def test_float(self, c, d, ref):
+        got = exp_phi(c, d)
+        assert type(got) is float
+        assert abs(got - ref) <= self.bound(c, d) * ref
+
+    def test_array(self):
+        c, d, ref = map(np.array, zip(*EXP_PHI_REFERENCE))
+        got = exp_phi(c, d)
+        assert np.all(np.abs(got - ref) <= self.bound(c, d) * ref)
+
+
 class TestGaussianProductSplit:
     def test_coincident_points(self):
         a = 0.8
