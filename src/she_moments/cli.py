@@ -79,8 +79,14 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _write_csv(rows: list[dict], path: str | None) -> None:
+    """Write ``rows`` as CSV, or nothing at all if a value is not finite: a
+    kernel or moment that overflows (or an inf * 0) is an error, not output."""
     if not rows:
         return
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise KernelOverflowError(f"{key} is not finite: {value}")
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -150,7 +156,7 @@ def _closed_two_point(q: TwoPointQuery, mu, params: KernelParams) -> float:
     """Closed/specialised evaluation: exact formulas for Lebesgue, exact
     kernel sums for atoms, split-form quadrature otherwise."""
     if isinstance(mu, LebesgueScaled):
-        return mu.scale ** 2 * two_point_lebesgue(q, params)
+        return mu.scale * mu.scale * two_point_lebesgue(q, params)
     if isinstance(mu, DiracAtoms) and mu.atoms == ((0.0, 1.0),):
         return float(two_point_delta(q, params))
     return two_point(q, mu, params, formula="split")
@@ -219,17 +225,20 @@ def _cmd_verify(args) -> int:
 
 def _field(cfg: dict, key: str, kind=float, default=None):
     """``kind(cfg[key])``, or of ``default`` when the key is absent and a
-    default is given.  A value that does not convert, or is not finite, is
-    a ConfigError."""
+    default is given.  Anything but a finite JSON number (a numeric string
+    or a bool included), and for a count (``kind=int``) anything but an
+    integral one, is a ConfigError."""
     value = cfg[key] if default is None else cfg.get(key, default)
     try:
         number = kind(value)
-        if math.isfinite(number):
+        if (type(value) in (int, float) and math.isfinite(number)
+                and (kind is float or number == value)):
             return number
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config field {key!r} must be a number, "
-                          f"got {value!r}") from exc
-    raise ConfigError(f"config field {key!r} must be finite, got {value!r}")
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config field {key!r} must be a finite"
+                      f"{' integral' if kind is int else ''} JSON number, "
+                      f"got {value!r}")
 
 
 def _section(cfg: dict, key: str, default=None) -> dict:

@@ -11,10 +11,13 @@ checks) is built from four ingredients defined here:
 The ``exp(c) * Phi(d)`` pattern is the whole reason this module exists: the
 moment formulas multiply enormous exponentials by tiny normal tails, and the
 naive product dies in double precision exactly where the formulas get
-interesting.  ``exp_phi`` routes the ``d < 0`` branch through the scaled
-complementary error function ``erfcx(x) = exp(x^2) erfc(x)``:
+interesting.  ``exp_phi`` adds the exponents instead of multiplying the
+factors, with ``log Phi`` from ``scipy.special.log_ndtr``:
 
-    exp(c) * Phi(d) = 0.5 * exp(c - d^2/2) * erfcx(-d / sqrt(2)),  d < 0.
+    exp(c) * Phi(d) = exp(c + log Phi(d)),
+
+which is finite whenever the product is, and loses about
+``|c| + d^2 / 2`` ulps, as any evaluation from a rounded ``c`` and ``d`` does.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import DomainError, KernelOverflowError
 from .quadrature import integrate_1d
 
 _LOG_DBL_MAX = 709.0  # log(DBL_MAX) rounded down
-_SQRT1_2 = math.sqrt(0.5)
 _TWO_PI = 2.0 * math.pi
 
 
@@ -76,69 +78,32 @@ def normal_cdf(x):
 
 
 def exp_phi(c, d):
-    """``exp(c) * Phi(d)`` without overflow for large ``c`` with ``d << 0``.
+    """``exp(c) * Phi(d)`` as ``exp(c + log Phi(d))``, which neither
+    overflows for large ``c`` with ``d << 0`` nor underflows ``Phi(d)``.
 
-    For ``d < 0`` uses the erfcx form; for ``d >= 0`` the direct product,
-    falling back to the log-domain when ``exp(c)`` alone would overflow.
-    Raises KernelOverflowError when the *result* is not representable,
-    reporting the offending log-value.
+    Floats give a Python float (QUADPACK callbacks stay on floats); anything
+    else goes through numpy.  Raises KernelOverflowError when the *result*
+    is not representable, reporting the offending log-value.
     """
     if isinstance(c, (float, int)) and isinstance(d, (float, int)):
         if not (math.isfinite(c) and math.isfinite(d)):
             raise DomainError("exp_phi requires finite c and d")
-        if d < 0:
-            expo = c - 0.5 * d * d
-            tail = 0.5 * float(special.erfcx(-d * _SQRT1_2))
-            if expo + math.log(tail) > _LOG_DBL_MAX:
-                raise KernelOverflowError(
-                    "exp(c)*Phi(d) overflows double precision",
-                    exponent=expo + math.log(tail))
-            return math.exp(expo) * tail
-        phi = 0.5 * math.erfc(-d * _SQRT1_2)
-        log_val = c + math.log(phi)
+        log_val = c + float(special.log_ndtr(d))
         if log_val > _LOG_DBL_MAX:
             raise KernelOverflowError(
                 "exp(c)*Phi(d) overflows double precision", exponent=log_val)
-        if c > _LOG_DBL_MAX:
-            return math.exp(log_val)
-        return math.exp(c) * phi
+        return math.exp(log_val)
 
     c, c_scalar = _as_float_array(c)
     d, d_scalar = _as_float_array(d)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
         raise DomainError("exp_phi requires finite c and d")
-    c, d = np.broadcast_arrays(c, d)
-    out = np.empty_like(c, dtype=float)
-
-    neg = d < 0
-    if np.any(neg):
-        cn, dn = c[neg], d[neg]
-        expo = cn - 0.5 * dn * dn
-        tail = 0.5 * special.erfcx(-dn / np.sqrt(2.0))
-        log_val = expo + np.log(tail)
-        if np.any(log_val > _LOG_DBL_MAX):
-            raise KernelOverflowError(
-                "exp(c)*Phi(d) overflows double precision",
-                exponent=float(np.max(log_val)))
-        out[neg] = np.exp(expo) * tail
-
-    pos = ~neg
-    if np.any(pos):
-        cp, dp = c[pos], d[pos]
-        phi = special.ndtr(dp)
-        log_val = cp + np.log(phi)
-        if np.any(log_val > _LOG_DBL_MAX):
-            raise KernelOverflowError(
-                "exp(c)*Phi(d) overflows double precision",
-                exponent=float(np.max(log_val)))
-        with np.errstate(over="ignore"):
-            direct = np.exp(cp) * phi
-        big = cp > _LOG_DBL_MAX
-        if np.any(big):
-            direct = np.where(big, np.exp(log_val), direct)
-        out[pos] = direct
-
-    return _ret(out, c_scalar and d_scalar)
+    log_val = c + special.log_ndtr(d)
+    if np.any(log_val > _LOG_DBL_MAX):
+        raise KernelOverflowError(
+            "exp(c)*Phi(d) overflows double precision",
+            exponent=float(np.max(log_val)))
+    return _ret(np.exp(log_val), c_scalar and d_scalar)
 
 
 def gaussian_product_split(s: float, nu: float, y: float, z1: float, z2: float):

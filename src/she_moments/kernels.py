@@ -25,10 +25,11 @@ Naming map (all functions take a :class:`KernelParams`):
   (xbar - zbar, dx, dz); equals
   ``two_point_kernel(t, x1-z1, x2-z2, x1-x2)`` identically.
 
-Every exponential-times-CDF product goes through
-:func:`~she_moments.gaussian.exp_phi`; the growth factor
-``exp(lambda^4 t / (4 nu))`` overflows the naive product near
-``lambda^4 t / nu ~ 2800`` while the kernels themselves are still modest.
+Every kernel carries the same exponential-times-CDF factor,
+:func:`growth_tail`, evaluated through :func:`~she_moments.gaussian.exp_phi`;
+the growth factor ``exp(lambda^4 t / (4 nu))`` overflows the naive product
+near ``lambda^4 t / nu ~ 2800`` while the kernels themselves are still
+modest.
 
 The noise coupling enters only through ``lambda^2`` and ``lambda^4``, so a
 negative ``lam`` is equivalent to ``|lam|``.
@@ -62,10 +63,6 @@ class KernelParams:
     @property
     def lam2(self) -> float:
         return self.lam * self.lam
-
-    @property
-    def lam4(self) -> float:
-        return self.lam2 * self.lam2
 
 
 @dataclass(frozen=True)
@@ -123,38 +120,41 @@ class MomentBoundParams:
         return self.c_p ** 2 * np.sqrt(self.p / 2.0) * self.lip_upper
 
 
-def second_moment_kernel(t: float, x, params: KernelParams):
-    """K(t, x): the kernel convolved against the squared mean field in the
-    second-moment formula.  Identically zero when ``lam = 0``.
+def growth_tail(t: float, w, nu: float, l2: float):
+    """The factor every closed form here carries:
+
+        e^{l2 (l2 t - 2 w) / 4 nu} Phi((l2 t - w) / sqrt(2 nu t)),
+
+    with ``l2 = lam^2`` and ``w >= 0`` a distance (an array, or a float).
+    A negative ``l2 = -lam^2`` gives the plus branch of the f1 Laplace pair.
     """
-    nu, l2, l4 = params.nu, params.lam2, params.lam4
-    growth = exp_phi(l4 * t / (4.0 * nu), params.lam2 * np.sqrt(t / (2.0 * nu)))
-    return heat_kernel(t, x, nu / 2.0) * (
-        l2 / np.sqrt(4.0 * np.pi * nu * t) + l4 / (2.0 * nu) * growth)
+    return exp_phi(l2 / (4.0 * nu) * (l2 * t - 2.0 * w),
+                   (l2 * t - w) / math.sqrt(2.0 * nu * t))
+
+
+def second_moment_kernel(t: float, x, params: KernelParams):
+    """K(t, x) = lam^2 H(t) G_{nu/2}(t, x): the kernel convolved against the
+    squared mean field in the second-moment formula.  Identically zero when
+    ``lam = 0``.
+    """
+    return (params.lam2 * second_moment_time_factor(t, params)
+            * heat_kernel(t, x, params.nu / 2.0))
 
 
 def second_moment_time_factor(t: float, params: KernelParams) -> float:
     """H(t) = 1/sqrt(4 pi nu t) + (lam^2 / 2 nu) e^{lam^4 t / 4 nu}
     Phi(lam^2 sqrt(t / 2 nu)).
 
-    Satisfies ``lam^2 * G_{nu/2}(t, x) * H(t) == second_moment_kernel(t, x)``.
+    Equal to ``two_point_time_factor(t, 0)``.
     """
-    if not (t > 0):
-        raise DomainError(f"time factor requires t > 0, got {t}")
-    nu = params.nu
-    growth = exp_phi(params.lam4 * t / (4.0 * nu),
-                     params.lam2 * np.sqrt(t / (2.0 * nu)))
-    return float(1.0 / np.sqrt(4.0 * np.pi * nu * t)
-                 + params.lam2 / (2.0 * nu) * growth)
+    return float(two_point_time_factor(t, 0.0, params))
 
 
 def two_point_time_factor(t: float, x, params: KernelParams):
     """Ht(t, x): the spatially offset time factor; Ht(t, 0) = H(t)."""
     nu, l2 = params.nu, params.lam2
-    ax = np.abs(x)
-    tail = exp_phi(-l2 * ax / (2.0 * nu) + params.lam4 * t / (4.0 * nu),
-                   l2 * np.sqrt(t / (2.0 * nu)) - ax / np.sqrt(2.0 * nu * t))
-    return heat_kernel(t, x, 2.0 * nu) + l2 / (2.0 * nu) * tail
+    return (heat_kernel(t, x, 2.0 * nu)
+            + l2 / (2.0 * nu) * growth_tail(t, abs(x), nu, l2))
 
 
 def covariance_kernel(t: float, z1, z2, y, params: KernelParams):
@@ -163,9 +163,8 @@ def covariance_kernel(t: float, z1, z2, y, params: KernelParams):
     """
     nu, l2 = params.nu, params.lam2
     w = np.abs(y) + np.abs(y - (np.asarray(z1) - np.asarray(z2)))
-    val = exp_phi(l2 / (4.0 * nu) * (l2 * t - 2.0 * w),
-                  (l2 * t - w) / np.sqrt(2.0 * nu * t))
-    # exp_phi can fit while its product with the prefactor does not.
+    val = growth_tail(t, w, nu, l2)
+    # The tail can fit while its product with the prefactor does not.
     with np.errstate(over="ignore"):
         out = l2 / (2.0 * nu) * heat_kernel(
             t, 0.5 * (np.asarray(z1) + np.asarray(z2)), nu / 2.0) * val
@@ -186,7 +185,7 @@ def two_point_kernel_at(q: TwoPointQuery, params: KernelParams):
     x1 - x2)`` on Python floats, for scalar quadrature callbacks.
 
     Everything that depends only on the query is computed once, here; a
-    call costs two ``math.exp`` and one :func:`exp_phi`.
+    call costs two ``math.exp`` and one :func:`growth_tail`.
     """
     nu, l2, t = params.nu, params.lam2, q.t
     x1, x2 = q.x1, q.x2
@@ -197,9 +196,6 @@ def two_point_kernel_at(q: TwoPointQuery, params: KernelParams):
     # exponentials.
     prod_norm = 1.0 / (2.0 * math.pi * var)
     bar_norm = l2 / (2.0 * nu) / math.sqrt(math.pi * var)
-    l2t = l2 * t
-    c_scale = l2 / (4.0 * nu)
-    srt = math.sqrt(2.0 * nu * t)
 
     def kernel(z1: float, z2: float) -> float:
         a = x1 - z1
@@ -208,7 +204,7 @@ def two_point_kernel_at(q: TwoPointQuery, params: KernelParams):
         w = adx + abs(z1 - z2)
         val = (prod_norm * math.exp(-(a * a + b * b) / two_var)
                + bar_norm * math.exp(-u * u / var)
-               * exp_phi(c_scale * (l2t - 2.0 * w), (l2t - w) / srt))
+               * growth_tail(t, w, nu, l2))
         if math.isinf(val):
             raise KernelOverflowError("K_star overflows double precision")
         return val
@@ -232,9 +228,7 @@ def two_point_kernel_centered(t: float, x1, x2, z1, z2, params: KernelParams):
     z2 = np.asarray(z2, dtype=float)
     xbar, dx = 0.5 * (x1 + x2), x2 - x1
     zbar, dz = 0.5 * (z1 + z2), z2 - z1
-    dist = np.abs(dx) + np.abs(dz)
-    tail = exp_phi(-l2 * dist / (2.0 * nu) + params.lam4 * t / (4.0 * nu),
-                   l2 * np.sqrt(t / (2.0 * nu)) - dist / np.sqrt(2.0 * nu * t))
+    tail = growth_tail(t, np.abs(dx) + np.abs(dz), nu, l2)
     bracket = heat_kernel(t, dx - dz, 2.0 * nu) + l2 / (2.0 * nu) * tail
     return heat_kernel(t, xbar - zbar, nu / 2.0) * bracket
 
@@ -253,12 +247,10 @@ def two_point_lebesgue(q: TwoPointQuery, params: KernelParams) -> float:
 
     Depends on the points only through ``|x1 - x2|``; equals 1 when lam = 0.
     """
-    nu, l2 = params.nu, params.lam2
+    nu = params.nu
     adx = abs(q.dx)
-    srt = np.sqrt(2.0 * nu * q.t)
-    return float(2.0 * exp_phi((params.lam4 * q.t - 2.0 * l2 * adx) / (4.0 * nu),
-                               (l2 * q.t - adx) / srt)
-                 + 2.0 * normal_cdf(adx / srt) - 1.0)
+    return float(2.0 * growth_tail(q.t, adx, nu, params.lam2)
+                 + 2.0 * normal_cdf(adx / math.sqrt(2.0 * nu * q.t)) - 1.0)
 
 
 def mgf_local_time(t: float, x: float, lam: float) -> float:
@@ -268,12 +260,8 @@ def mgf_local_time(t: float, x: float, lam: float) -> float:
         2 e^{lam^4 t / 2 - lam^2 |x|} Phi(lam^2 sqrt(t) - |x| / sqrt(t))
         + 2 Phi(|x| / sqrt(t)) - 1.
 
-    Always >= 1, and <= 2 e^{lam^4 t / 2} + 1.
+    Always >= 1, and <= 2 e^{lam^4 t / 2} + 1.  This is
+    :func:`two_point_lebesgue` at ``nu = 1/2`` with ``|x1 - x2| = |x|``.
     """
-    if not (t > 0):
-        raise DomainError(f"mgf_local_time requires t > 0, got {t}")
-    l2 = lam * lam
-    ax = abs(x)
-    st = np.sqrt(t)
-    return float(2.0 * exp_phi(l2 * l2 * t / 2.0 - l2 * ax, l2 * st - ax / st)
-                 + 2.0 * normal_cdf(ax / st) - 1.0)
+    return two_point_lebesgue(TwoPointQuery(t=t, x1=0.0, x2=x),
+                              KernelParams(nu=0.5, lam=lam))

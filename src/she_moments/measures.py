@@ -241,6 +241,14 @@ def gaussian_density(mean: float, var: float, mass: float = 1.0) -> DensityMeasu
                           support_radius=abs(mean) + 8.0 * math.sqrt(var))
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float.  A numeric string is not one, nor is a bool
+    (an int subclass in Python, but JSON true is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def parse_measure(obj: dict) -> InitialMeasure:
     """Build a measure from its declarative JSON form."""
     if not isinstance(obj, dict) or "type" not in obj:
@@ -249,18 +257,19 @@ def parse_measure(obj: dict) -> InitialMeasure:
     kind = obj["type"]
     try:
         if kind == "atoms":
-            mu: InitialMeasure = DiracAtoms(tuple((float(x), float(m))
-                                                  for x, m in obj["atoms"]))
+            mu: InitialMeasure = DiracAtoms(tuple(
+                (_json_number(x), _json_number(m)) for x, m in obj["atoms"]))
         elif kind == "lebesgue":
-            mu = LebesgueScaled(float(obj.get("scale", 1.0)))
+            mu = LebesgueScaled(_json_number(obj.get("scale", 1.0)))
         elif kind == "gaussian":
-            mu = gaussian_density(float(obj["mean"]), float(obj["var"]),
-                                  float(obj.get("mass", 1.0)))
+            mu = gaussian_density(_json_number(obj["mean"]),
+                                  _json_number(obj["var"]),
+                                  _json_number(obj.get("mass", 1.0)))
         elif kind == "sum":
             mu = MeasureSum(tuple(parse_measure(t) for t in obj["terms"]))
         else:
             raise InadmissibleMeasureError(f"unknown measure type {kind!r}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         # Malformed entries (an atom without a mass, a non-numeric field)
         # are measure errors too; the package's own errors pass unchanged.
         if isinstance(exc, SheMomentsError):

@@ -26,8 +26,9 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, PoleError
-from .gaussian import exp_phi, heat_kernel
-from .kernels import KernelParams, second_moment_time_factor, two_point_time_factor
+from .gaussian import heat_kernel
+from .kernels import (KernelParams, growth_tail, second_moment_time_factor,
+                      two_point_time_factor)
 from .quadrature import integrate_1d
 
 __all__ = [
@@ -211,18 +212,14 @@ def laplace_numeric(time_fn: Callable[[float], float], z: float,
 def inverse_transform_f1(t: float, x: float, sign: int,
                          params: KernelParams) -> float:
     """L^{-1}[f1_{+/-}](t) = (1/8 nu) e^{+/- lam^2 |x| / 2 nu + lam^4 t / 4 nu}
-    Erfc(|x| / sqrt(4 nu t) +/- lam^2 sqrt(t / 4 nu)), evaluated through the
-    overflow-safe exp*Phi product."""
+    Erfc(|x| / sqrt(4 nu t) +/- lam^2 sqrt(t / 4 nu)): the growth tail at
+    ``l2 = -/+ lam^2`` over 4 nu, as Erfc(v) = 2 Phi(-sqrt(2) v)."""
     if not (t > 0):
         raise DomainError(f"inverse_transform_f1 requires t > 0, got {t}")
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    nu, l2 = params.nu, params.lam2
-    ax = abs(x)
-    c = sign * l2 * ax / (2.0 * nu) + params.lam4 * t / (4.0 * nu)
-    # (1/8 nu) e^c Erfc(w) = (1/4 nu) e^c Phi(-sqrt(2) w)
-    d = -ax / np.sqrt(2.0 * nu * t) - sign * l2 * np.sqrt(t / (2.0 * nu))
-    return float(exp_phi(c, d) / (4.0 * nu))
+    nu = params.nu
+    return float(growth_tail(t, abs(x), nu, -sign * params.lam2) / (4.0 * nu))
 
 
 def inverse_transform_f2(t: float, x: float, params: KernelParams) -> float:
@@ -258,11 +255,8 @@ def conv_heat_time_factor(t: float, dz: float, params: KernelParams) -> float:
         raise DomainError(f"conv_heat_time_factor requires t > 0, got {t}")
     if params.lam == 0:
         raise DomainError("conv_heat_time_factor requires lam != 0")
-    nu, l2 = params.nu, params.lam2
-    adz = abs(dz)
-    val = exp_phi(-l2 * adz / (2.0 * nu) + params.lam4 * t / (4.0 * nu),
-                  l2 * np.sqrt(t / (2.0 * nu)) - adz / np.sqrt(2.0 * nu * t))
-    return float(val / (2.0 * nu))
+    return float(growth_tail(t, abs(dz), params.nu, params.lam2)
+                 / (2.0 * params.nu))
 
 
 def conv_heat_offset_factor(t: float, dx: float, dz: float,

@@ -548,3 +548,97 @@ class TestSimulateConfigBoundary:
         assert code == 3
         assert out == ""
         assert "nu > 0" in err
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("measure", [
+        {"type": "atoms", "atoms": [[0.0, 1e200]]},
+        {"type": "lebesgue", "scale": 1e200},
+    ], ids=["atom_mass", "lebesgue_scale"])
+    @pytest.mark.parametrize("method", ["closed", "quadrature", "both"])
+    @pytest.mark.parametrize("command", ["two-point", "second-moment"])
+    def test_exit_3_without_output(self, capsys, tmp_path, measure, method,
+                                   command):
+        # The square of the mass overflows; nothing non-finite is printed.
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(measure))
+        points = (["--x1", "0", "--x2", "1"] if command == "two-point"
+                  else ["--x", "0"])
+        code, out, err = run_cli(capsys, command, "--measure", str(path),
+                                 "--t", "1", "--method", method, *points)
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which,x", [("H", "0"), ("K", "0"), ("K", "40"),
+                                         ("Htilde", "0")])
+    def test_kernel_exit_3_without_output(self, capsys, which, x):
+        # exp_phi fits (c = 708), its product with lam^2 / 2 nu does not; at
+        # x = 40 the heat kernel underflows and inf * 0 would print nan.
+        code, out, err = run_cli(capsys, "kernel", "--which", which, "--t",
+                                 "1", "--lambda", "7.295", "--x", x)
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("section,key,value", [
+        ("mc", "n_paths", 2.9),
+        ("mc", "n_paths", "12"),
+        ("mc", "seed", True),
+        (None, "t", "1.0"),
+        (None, "nu", True),
+        ("u0", "value", "1"),
+    ], ids=["fractional_count", "string_count", "bool_count", "string_t",
+            "bool_nu", "string_value"])
+    def test_config_exit_2_without_output(self, capsys, tmp_path, section,
+                                          key, value):
+        config = json.loads(json.dumps(FK_CONFIG))
+        (config[section] if section else config)[key] = value
+        code, out, err = _simulate(capsys, tmp_path, "fk", config)
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_integral_float_count_accepted(self, capsys, tmp_path):
+        config = json.loads(json.dumps(FK_CONFIG))
+        config["mc"]["n_paths"] = 100.0
+        code, out, _ = _simulate(capsys, tmp_path, "fk", config)
+        assert code == 0
+        assert json.loads(out)["n"] == 100
+
+    @pytest.mark.parametrize("measure", [
+        {"type": "lebesgue", "scale": "2"},
+        {"type": "lebesgue", "scale": True},
+        {"type": "atoms", "atoms": [[0, True]]},
+        {"type": "atoms", "atoms": [["0", 1]]},
+        {"type": "gaussian", "mean": 0.0, "var": "1"},
+        {"type": "lebesgue", "scale": 10 ** 400},
+    ], ids=["string_scale", "bool_scale", "bool_mass", "string_location",
+            "string_var", "int_beyond_double"])
+    def test_measure_exit_4_without_output(self, capsys, tmp_path, measure):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(measure))
+        code, out, err = run_cli(capsys, "two-point", "--measure", str(path),
+                                 "--t", "1", "--x1", "0", "--x2", "1")
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err
+
+
+def test_version_has_one_source(capsys):
+    # pyproject.toml reads the package version from she_moments.__version__.
+    from pathlib import Path
+
+    from she_moments import __version__
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text())
+    assert "version" not in meta["project"]
+    assert meta["project"]["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "she_moments.__version__"}
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out.strip() == __version__

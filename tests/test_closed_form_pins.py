@@ -132,8 +132,11 @@ PINS = [
     ('f1+', 1.0, 1.0, (1.7, -3.0), 0.009259000322803619),
     ('f1+', 0.7, 1.3, (0.5, 0.1), 0.0867993274979718),
     ('f1+', 0.7, 1.3, (1.7, -3.0), 0.005321391636611652),
-    ('f1+', 1.0, 7.25, (1.0, 0.125), 0.002664702220111907),
-    ('f1+', 1.0, 7.25, (1.0, -3.0), 0.0002673867062304793),
+    # f1+ at the edge is exp(c) Phi(d) with c and d^2 / 2 near 700 and
+    # cancelling: these two rows carry the 40-digit mpmath value (the erfcx
+    # form was 1.1e-13 and 2.3e-13 from it, the log-Phi form 3.5e-14 and 7e-16).
+    ('f1+', 1.0, 7.25, (1.0, 0.125), 0.00266470222011221),
+    ('f1+', 1.0, 7.25, (1.0, -3.0), 0.0002673867062305402),
     ('f1-', 1.0, 0.0, (0.5, 0.1), 0.11504304068074277),
     ('f1-', 1.0, 0.0, (1.7, -3.0), 0.012967709779567696),
     ('f1-', 1.0, 1.0, (0.5, 0.1), 0.17661717685674266),
