@@ -16,8 +16,8 @@ factors, with ``log Phi`` from ``scipy.special.log_ndtr``:
 
     exp(c) * Phi(d) = exp(c + log Phi(d)),
 
-which is finite whenever the product is, and loses about
-``|c| + d^2 / 2`` ulps, as any evaluation from a rounded ``c`` and ``d`` does.
+so neither factor is formed on its own.  The error is about
+``|c| + d^2 / 2`` ulps, as for any evaluation from a rounded ``c`` and ``d``.
 """
 
 from __future__ import annotations
