@@ -9,9 +9,9 @@ from .gaussian import (exp_phi, gaussian_product_moment_bound,
                        gaussian_product_split, heat_kernel, normal_cdf)
 from .kernels import (KernelParams, MomentBoundParams, TwoPointQuery,
                       covariance_kernel, mgf_local_time, second_moment_kernel,
-                      second_moment_time_factor, two_point_delta,
-                      two_point_kernel, two_point_kernel_centered,
-                      two_point_lebesgue, two_point_time_factor)
+                      second_moment_time_factor, two_point_kernel,
+                      two_point_kernel_centered, two_point_lebesgue,
+                      two_point_time_factor)
 from .local_time import (JointLocalTimeLaw, first_passage_convolution,
                          sample_joint)
 from .measures import (DensityMeasure, DiracAtoms, GrowthCertificate,

@@ -36,9 +36,8 @@ from .errors import (ConfigError, DivergenceError, DomainError,
                      QuadratureError)
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       mgf_local_time, second_moment_kernel,
-                      second_moment_time_factor, two_point_delta,
-                      two_point_kernel, two_point_lebesgue,
-                      two_point_time_factor)
+                      second_moment_time_factor, two_point_kernel,
+                      two_point_lebesgue, two_point_time_factor)
 from .local_time import JointLocalTimeLaw
 from .measures import (DiracAtoms, LebesgueScaled, parse_measure, two_point)
 from .simulate import (BoundedInitialData, McConfig, RhoSpec, SpdeGrid,
@@ -157,8 +156,6 @@ def _closed_two_point(q: TwoPointQuery, mu, params: KernelParams) -> float:
     kernel sums for atoms, split-form quadrature otherwise."""
     if isinstance(mu, LebesgueScaled):
         return mu.scale * mu.scale * two_point_lebesgue(q, params)
-    if isinstance(mu, DiracAtoms) and mu.atoms == ((0.0, 1.0),):
-        return float(two_point_delta(q, params))
     return two_point(q, mu, params, formula="split")
 
 

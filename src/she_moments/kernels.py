@@ -120,6 +120,15 @@ class MomentBoundParams:
         return self.c_p ** 2 * np.sqrt(self.p / 2.0) * self.lip_upper
 
 
+def require_finite(value, name: str):
+    """``value``, or KernelOverflowError if an element is not finite: a
+    growth tail that fits can overflow times its prefactor (or give nan)."""
+    if not np.all(np.isfinite(value)):
+        raise KernelOverflowError(f"{name} is not finite: it overflows "
+                                  "double precision")
+    return value
+
+
 def growth_tail(t: float, w, nu: float, l2: float):
     """The factor every closed form here carries:
 
@@ -137,8 +146,9 @@ def second_moment_kernel(t: float, x, params: KernelParams):
     squared mean field in the second-moment formula.  Identically zero when
     ``lam = 0``.
     """
-    return (params.lam2 * second_moment_time_factor(t, params)
-            * heat_kernel(t, x, params.nu / 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(params.lam2 * second_moment_time_factor(t, params)
+                              * heat_kernel(t, x, params.nu / 2.0), "K(t, x)")
 
 
 def second_moment_time_factor(t: float, params: KernelParams) -> float:
@@ -153,8 +163,9 @@ def second_moment_time_factor(t: float, params: KernelParams) -> float:
 def two_point_time_factor(t: float, x, params: KernelParams):
     """Ht(t, x): the spatially offset time factor; Ht(t, 0) = H(t)."""
     nu, l2 = params.nu, params.lam2
-    return (heat_kernel(t, x, 2.0 * nu)
-            + l2 / (2.0 * nu) * growth_tail(t, abs(x), nu, l2))
+    with np.errstate(over="ignore"):
+        return require_finite(heat_kernel(t, x, 2.0 * nu) + l2 / (2.0 * nu)
+                              * growth_tail(t, abs(x), nu, l2), "Ht(t, x)")
 
 
 def covariance_kernel(t: float, z1, z2, y, params: KernelParams):
@@ -164,13 +175,10 @@ def covariance_kernel(t: float, z1, z2, y, params: KernelParams):
     nu, l2 = params.nu, params.lam2
     w = np.abs(y) + np.abs(y - (np.asarray(z1) - np.asarray(z2)))
     val = growth_tail(t, w, nu, l2)
-    # The tail can fit while its product with the prefactor does not.
     with np.errstate(over="ignore"):
-        out = l2 / (2.0 * nu) * heat_kernel(
-            t, 0.5 * (np.asarray(z1) + np.asarray(z2)), nu / 2.0) * val
-    if not np.all(np.isfinite(out)):
-        raise KernelOverflowError("K_dag overflows double precision")
-    return out
+        return require_finite(l2 / (2.0 * nu) * heat_kernel(
+            t, 0.5 * (np.asarray(z1) + np.asarray(z2)), nu / 2.0) * val,
+            "K_dag")
 
 
 def two_point_kernel(t: float, z1, z2, y, params: KernelParams):
@@ -231,11 +239,6 @@ def two_point_kernel_centered(t: float, x1, x2, z1, z2, params: KernelParams):
     tail = growth_tail(t, np.abs(dx) + np.abs(dz), nu, l2)
     bracket = heat_kernel(t, dx - dz, 2.0 * nu) + l2 / (2.0 * nu) * tail
     return heat_kernel(t, xbar - zbar, nu / 2.0) * bracket
-
-
-def two_point_delta(q: TwoPointQuery, params: KernelParams):
-    """E[u(t,x1) u(t,x2)] for a unit point mass at the origin."""
-    return two_point_kernel(q.t, q.x1, q.x2, q.x1 - q.x2, params)
 
 
 def two_point_lebesgue(q: TwoPointQuery, params: KernelParams) -> float:

@@ -28,14 +28,15 @@ factors into a Gaussian in ``zbar`` times a function of ``|dz|`` with one
 kink, at ``dz = 0``.
 
 The two forms go through independent rules, so agreement between them
-means something.  The split form uses panelled Gauss-Legendre
+means something; both integrate a density over its declared ``support``
+only.  The split form, J0 included, uses panelled Gauss-Legendre
 (:func:`~she_moments.quadrature.integrate_panels`) on whole arrays: a
-panel edge sits on the kink (``dz = 0``, or ``z = atom`` for an
-atom-density term), and the window comes from the kernel's decay scales
-and the measure's support radius or growth certificate.  The direct form
-uses nested adaptive QUADPACK with float callbacks of the query-bound
-kernel ``kernels.two_point_kernel_at``, breaking atom-density integrals
-at the atom.  Sums over atoms are one array kernel call under both.
+panel edge sits on the kink (``dz = 0``, or ``z = atom``), and windows
+from the kernels' decay and the growth certificate are cut to the
+support.  The direct form runs nested adaptive QUADPACK on float
+callbacks of ``kernels.two_point_kernel_at``, in pieces broken at each
+atom, at ``dz = 0`` and at ``zbar = xbar``.  Atom sums are one array
+kernel call under both.
 
 Measures parse from a declarative JSON object::
 
@@ -48,7 +49,7 @@ Measures parse from a declarative JSON object::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,7 +58,7 @@ from .errors import (DomainError, InadmissibleMeasureError, QuadratureError,
                      SheMomentsError)
 from .gaussian import heat_kernel
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
-                      two_point_kernel, two_point_kernel_at)
+                      require_finite, two_point_kernel, two_point_kernel_at)
 from .quadrature import integrate_1d, integrate_panels
 
 __all__ = [
@@ -89,9 +90,7 @@ class GrowthCertificate:
     @property
     def admissible(self) -> bool:
         """Whether the envelope implies Gaussian integrability for every a > 0."""
-        if self.rate <= 0 or self.power < 2:
-            return True
-        return False
+        return self.rate <= 0 or self.power < 2
 
 
 class InitialMeasure:
@@ -160,16 +159,17 @@ class LebesgueScaled(InitialMeasure):
 class DensityMeasure(InitialMeasure):
     """Absolutely continuous measure ``f(x) dx`` with a growth certificate.
 
-    ``nonnegative`` is declared, not verified.  ``support_radius`` (optional)
-    bounds where the density is non-negligible; it sizes simulation grids
-    and the split-form quadrature window, which otherwise comes from the
-    certificate.
+    ``nonnegative`` is declared, not verified.  ``support = (lo, hi)``, the
+    whole line by default, is where the density's mass lies: J0, both
+    two-point routes and the membership check integrate over it, and its
+    larger absolute end sizes simulation grids.  A density with far-apart
+    bumps is best a MeasureSum of one bump each, each with its support.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     certificate: GrowthCertificate
     nonnegative: bool = False
-    support_radius: float | None = None
+    support: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
         if not self.certificate.admissible:
@@ -177,6 +177,9 @@ class DensityMeasure(InitialMeasure):
                 "density growth certificate allows exp(rate * x^2) growth with "
                 f"rate={self.certificate.rate} > 0; such measures are not "
                 "heat-smoothable for every a > 0")
+        lo, hi = self.support
+        if not lo < hi:
+            raise DomainError(f"density support needs lo < hi, got {self.support}")
 
     @property
     def is_nonnegative(self) -> bool:
@@ -186,12 +189,11 @@ class DensityMeasure(InitialMeasure):
         if self.nonnegative:
             return self
         fn = self.f
-        return DensityMeasure(lambda x: np.abs(fn(x)), self.certificate,
-                              nonnegative=True,
-                              support_radius=self.support_radius)
+        return replace(self, f=lambda x: np.abs(fn(x)), nonnegative=True)
 
     def support_extent(self) -> float:
-        return self.support_radius if self.support_radius is not None else 0.0
+        extent = max(map(abs, self.support))
+        return extent if math.isfinite(extent) else 0.0
 
 
 @dataclass(frozen=True)
@@ -236,9 +238,10 @@ def gaussian_density(mean: float, var: float, mass: float = 1.0) -> DensityMeasu
             return norm * math.exp(-d * d / two_var)
         return norm * np.exp(-(np.asarray(x, dtype=float) - mean) ** 2 / two_var)
 
+    half = 8.0 * math.sqrt(var)
     return DensityMeasure(f, GrowthCertificate(amplitude=abs(norm)),
                           nonnegative=mass >= 0,
-                          support_radius=abs(mean) + 8.0 * math.sqrt(var))
+                          support=(mean - half, mean + half))
 
 
 def _json_number(value) -> float:
@@ -291,24 +294,24 @@ def _atom_arrays(mu: DiracAtoms) -> tuple[np.ndarray, np.ndarray]:
 def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
     """J0(t, x): the heat semigroup applied to the initial measure.
 
-    Exact for atoms and Lebesgue; adaptive quadrature (abs tol 1e-10) for
-    densities.
+    Exact for atoms and Lebesgue; for densities, panelled Gauss-Legendre
+    (tol 1e-10) on the heat kernel's window around x cut to the support.
     """
+    if not (t > 0 and nu > 0):
+        raise DomainError("mean_field requires t > 0 and nu > 0")
     if isinstance(mu, DiracAtoms):
         locs, masses = _atom_arrays(mu)
         return float(masses @ heat_kernel(t, x - locs, nu))
     if isinstance(mu, LebesgueScaled):
-        if not (t > 0 and nu > 0):
-            raise DomainError("mean_field requires t > 0 and nu > 0")
         return mu.scale
     if isinstance(mu, DensityMeasure):
-        fn = mu.f
-        # A 0-d array sends the density down its numpy path, so J0, and
-        # with it the default two-point route, does not depend on its float
-        # path (math.exp and np.exp may round differently).
-        return integrate_1d(lambda y: float(fn(np.asarray(y)))
-                            * heat_kernel(t, x - y, nu),
-                            -np.inf, np.inf, abs_tol=1e-10, rel_tol=1e-10)
+        sigma = math.sqrt(nu * t)
+        w = _tail_radius(lambda r: -0.5 * (r / sigma) ** 2
+                         + _log_growth([mu.certificate], abs(x), r), sigma)
+        edges = _graded_edges(mu.support, ((x, w),), x, sigma, 3.0 * sigma)
+        return 0.0 if edges is None else integrate_panels(
+            lambda y: mu.f(y) * heat_kernel(t, x - y, nu), edges,
+            abs_tol=1e-10, rel_tol=1e-10)[0]
     if isinstance(mu, MeasureSum):
         return float(sum(mean_field(t, x, term, nu) for term in mu.terms))
     raise DomainError(f"unsupported measure type {type(mu).__name__}")
@@ -319,14 +322,14 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _density_view(mu: InitialMeasure):
-    """(density, growth certificate, support radius or None) of a
-    non-atomic primitive measure.  The density takes arrays, and floats
-    for QUADPACK callbacks."""
+    """(density, growth certificate, support interval) of a non-atomic
+    primitive measure.  The density takes arrays, and floats for QUADPACK
+    callbacks."""
     if isinstance(mu, LebesgueScaled):
         c = mu.scale
-        return (lambda z: c), GrowthCertificate(abs(c)), None
+        return (lambda z: c), GrowthCertificate(abs(c)), (-math.inf, math.inf)
     if isinstance(mu, DensityMeasure):
-        return mu.f, mu.certificate, mu.support_radius
+        return mu.f, mu.certificate, mu.support
     raise DomainError(f"measure {type(mu).__name__} has no density")
 
 
@@ -335,7 +338,24 @@ def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
     """Σ m1 m2 kernel(x1, x2) over all atom pairs, in one kernel call."""
     x1, m1 = _atom_arrays(mu1)
     x2, m2 = _atom_arrays(mu2)
-    return float(m1 @ kernel(x1[:, None], x2[None, :]) @ m2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(float(m1 @ kernel(x1[:, None], x2[None, :])
+                                    @ m2), "the atom sum")
+
+
+def _pair_supports(s1: tuple[float, float], s2: tuple[float, float]):
+    """The zbar = (z1+z2)/2 and dz = z2-z1 ranges of z1 in s1, z2 in s2."""
+    return ((0.5 * (s1[0] + s2[0]), 0.5 * (s1[1] + s2[1])),
+            (s2[0] - s1[1], s2[1] - s1[0]))
+
+
+def _quad_pieces(f: Callable[[float], float], support: tuple[float, float],
+                 brk: float, abs_tol: float, rel_tol: float) -> float:
+    """∫ f over the support by QUADPACK, split at ``brk`` if it is inside."""
+    lo, hi = support
+    cuts = (lo, brk, hi) if lo < brk < hi else (lo, hi)
+    return sum(integrate_1d(f, a, b, abs_tol=abs_tol, rel_tol=rel_tol)
+               for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
@@ -346,44 +366,35 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
     route.
 
     Atom pairs sum in one array kernel call.  The QUADPACK callbacks
-    evaluate the query-bound float kernel: over the density variable on
-    either side of each atom, where the kernel has its kink, and otherwise
-    in rotated coordinates (outer zbar, inner dz).
+    evaluate the query-bound float kernel over the densities' supports: in
+    the density variable, broken at each atom (the kink), and otherwise in
+    rotated coordinates, outer zbar broken at xbar, inner dz at dz = 0.
     """
     a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
     if a1 and a2:
         return _atom_sum(mu1, mu2, lambda z1, z2: two_point_kernel(
             q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2, params))
+    if a2:  # (density, atoms) at (x1, x2) is (atoms, density) at (x2, x1)
+        return _bilinear_primitive(mu2, mu1, TwoPointQuery(q.t, q.x2, q.x1),
+                                   params, abs_tol, rel_tol)
     point_kernel = two_point_kernel_at(q, params)
-    if a1 or a2:
-        atoms = mu1.atoms if a1 else mu2.atoms
-        dens = _density_view(mu2 if a1 else mu1)[0]
-        total = 0.0
-        for loc, m in atoms:
-            if a1:
-                def integrand(z2, loc=loc):
-                    return dens(z2) * point_kernel(loc, z2)
-            else:
-                def integrand(z1, loc=loc):
-                    return dens(z1) * point_kernel(z1, loc)
-            total += m * (integrate_1d(integrand, -np.inf, loc,
-                                       abs_tol=abs_tol, rel_tol=rel_tol)
-                          + integrate_1d(integrand, loc, np.inf,
-                                         abs_tol=abs_tol, rel_tol=rel_tol))
-        return total
+    if a1:
+        dens, _, support = _density_view(mu2)
+        return sum(m * _quad_pieces(lambda z: dens(z) * point_kernel(loc, z),
+                                    support, loc, abs_tol, rel_tol)
+                   for loc, m in mu1.atoms)
 
-    f1, f2 = _density_view(mu1)[0], _density_view(mu2)[0]
+    (f1, _, s1), (f2, _, s2) = _density_view(mu1), _density_view(mu2)
+    bar_range, sep_range = _pair_supports(s1, s2)
 
     def outer_integrand(zbar: float) -> float:
         def inner(dz: float) -> float:
             z1 = zbar - 0.5 * dz
             z2 = zbar + 0.5 * dz
             return f1(z1) * f2(z2) * point_kernel(z1, z2)
-        return integrate_1d(inner, -np.inf, np.inf,
-                            abs_tol=abs_tol / 10, rel_tol=rel_tol / 10)
+        return _quad_pieces(inner, sep_range, 0.0, abs_tol / 10, rel_tol / 10)
 
-    return integrate_1d(outer_integrand, -np.inf, np.inf,
-                        abs_tol=abs_tol, rel_tol=rel_tol)
+    return _quad_pieces(outer_integrand, bar_range, q.x_bar, abs_tol, rel_tol)
 
 
 # Panel windows drop what lies beyond e^-_TAIL (~4e-18) of a factor's peak.
@@ -428,11 +439,18 @@ def _log_growth(certs: Sequence[GrowthCertificate], x0: float,
                for c in certs)
 
 
-def _graded_edges(lo: float, hi: float, kink: float, first: float,
-                  widest: float) -> np.ndarray:
-    """Panel edges on [lo, hi]: an edge at ``kink`` (clipped into the
-    window), then panel widths ``first, 2 first, 4 first, ...`` away from
-    it on both sides, none wider than ``widest``."""
+def _graded_edges(support: tuple[float, float], windows, kink: float,
+                  first: float, widest: float) -> np.ndarray | None:
+    """Panel edges on [lo, hi], the support cut to every window
+    ``(centre, half-width)``, or None if that is empty: an edge at
+    ``kink`` (clipped into [lo, hi]), then widths ``first, 2 first, ...``
+    away from it both ways, none wider than ``widest`` or
+    ``(hi - lo) / _MIN_PANELS``."""
+    lo = max(support[0], *(c - w for c, w in windows))
+    hi = min(support[1], *(c + w for c, w in windows))
+    if not lo < hi:
+        return None
+    widest = min(widest, (hi - lo) / _MIN_PANELS)
     kink = min(max(kink, lo), hi)
     edges = [kink]
     for end, sign in ((hi, 1.0), (lo, -1.0)):
@@ -483,8 +501,8 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
                 rel_tol: float) -> tuple[float, float]:
     """``(value, error estimate)`` of ∬ mu1(dz1) mu2(dz2) K_dag(t, x1 - z1,
     x2 - z2, x1 - x2) for primitive measures: an array atom sum, or
-    panelled Gauss-Legendre over the density variables.  The split-form
-    route."""
+    panelled Gauss-Legendre over the density variables on their supports.
+    The split-form route."""
     def kernel(z1, z2):
         return covariance_kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
                                  params)
@@ -492,11 +510,14 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
     a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
     if a1 and a2:
         return _atom_sum(mu1, mu2, kernel), 0.0
+    if a2:  # (density, atoms) at (x1, x2) is (atoms, density) at (x2, x1)
+        return _panel_pair(mu2, mu1, TwoPointQuery(q.t, q.x2, q.x1), params,
+                           abs_tol, rel_tol)
     sc = _SplitKernelScales(q, params)
-    if a1 or a2:
-        dens, cert, radius = _density_view(mu2 if a1 else mu1)
+    if a1:
+        dens, cert, support = _density_view(mu2)
         total = err = 0.0
-        for loc, m in (mu1 if a1 else mu2).atoms:
+        for loc, m in mu1.atoms:
             # The density variable z: kink at z = loc, zbar Gaussian
             # (width 2 sigma in z) centred at z = 2 xbar - loc.
             centre = 2.0 * q.x_bar - loc
@@ -506,45 +527,30 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
             w_bar = 2.0 * _tail_radius(
                 lambda r: sc.log_bar(r)
                 + _log_growth([cert], abs(centre), 2.0 * r), sc.sigma)
-            lo = max(loc - w_sep, centre - w_bar)
-            hi = min(loc + w_sep, centre + w_bar)
-            if radius is not None:
-                lo, hi = max(lo, -radius), min(hi, radius)
-            if not lo < hi:
+            edges = _graded_edges(support, ((loc, w_sep), (centre, w_bar)),
+                                  loc, sc.first, 2.0 * sc.s)
+            if edges is None:
                 continue
-            edges = _graded_edges(lo, hi, loc, sc.first,
-                                  min(2.0 * sc.s, (hi - lo) / _MIN_PANELS))
-            if a1:
-                def integrand(z, loc=loc):
-                    return dens(z) * kernel(loc, z)
-            else:
-                def integrand(z, loc=loc):
-                    return dens(z) * kernel(z, loc)
-            val, e = integrate_panels(integrand, edges, abs_tol=abs_tol,
-                                      rel_tol=rel_tol)
+            val, e = integrate_panels(lambda z: dens(z) * kernel(loc, z),
+                                      edges, abs_tol=abs_tol, rel_tol=rel_tol)
             total += m * val
             err += abs(m) * e
         return total, err
 
-    (f1, c1, r1), (f2, c2, r2) = _density_view(mu1), _density_view(mu2)
+    (f1, c1, s1), (f2, c2, s2) = _density_view(mu1), _density_view(mu2)
     certs = [c1, c2]
     x0 = abs(q.x_bar)
     w_sep = _tail_radius(lambda r: sc.log_sep(r)
                          + _log_growth(certs, x0, 0.5 * r), sc.s)
     w_bar = _tail_radius(lambda r: sc.log_bar(r)
                          + _log_growth(certs, x0, r + 0.5 * w_sep), sc.sigma)
-    bar_lo, bar_hi = q.x_bar - w_bar, q.x_bar + w_bar
-    if r1 is not None and r2 is not None:
-        # |z1| <= r1 and |z2| <= r2 bound |zbar| and |dz|.
-        bar_lo = max(bar_lo, -0.5 * (r1 + r2))
-        bar_hi = min(bar_hi, 0.5 * (r1 + r2))
-        w_sep = min(w_sep, r1 + r2)
-    if not bar_lo < bar_hi:
+    bar_range, sep_range = _pair_supports(s1, s2)
+    bar_edges = _graded_edges(bar_range, ((q.x_bar, w_bar),), q.x_bar,
+                              3.0 * sc.sigma, 3.0 * sc.sigma)
+    sep_edges = _graded_edges(sep_range, ((0.0, w_sep),), 0.0, sc.first,
+                              2.0 * sc.s)
+    if bar_edges is None or sep_edges is None:
         return 0.0, 0.0
-    bar_step = min(3.0 * sc.sigma, (bar_hi - bar_lo) / _MIN_PANELS)
-    bar_edges = _graded_edges(bar_lo, bar_hi, q.x_bar, bar_step, bar_step)
-    sep_edges = _graded_edges(-w_sep, w_sep, 0.0, sc.first,
-                              min(2.0 * sc.s, 2.0 * w_sep / _MIN_PANELS))
 
     def integrand(zbar, dz):
         z1 = zbar - 0.5 * dz
@@ -561,11 +567,7 @@ def _bilinear(mu: InitialMeasure,
     """∬ mu(dz1) mu(dz2) kernel(z1, z2), expanding sums bilinearly into
     ``primitive(term1, term2)``."""
     terms = mu.primitive_terms()
-    total = 0.0
-    for t1 in terms:
-        for t2 in terms:
-            total += primitive(t1, t2)
-    return total
+    return sum(primitive(t1, t2) for t1 in terms for t2 in terms)
 
 
 def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
@@ -620,11 +622,11 @@ def check_membership(mu: InitialMeasure, a_grid: Sequence[float]) -> list[dict]:
             elif isinstance(term, LebesgueScaled):
                 total += term.scale * math.sqrt(math.pi / a)
             else:
-                fn = _density_view(term)[0]
+                fn, _, (lo, hi) = _density_view(term)
                 try:
                     total += integrate_1d(
                         lambda z: fn(z) * math.exp(-a * z * z),
-                        -np.inf, np.inf, abs_tol=1e-10, rel_tol=1e-8)
+                        lo, hi, abs_tol=1e-10, rel_tol=1e-8)
                 except Exception as exc:
                     raise InadmissibleMeasureError(
                         f"Gaussian-weighted mass diverges at a={a}") from exc

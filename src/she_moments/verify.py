@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from .gaussian import (exp_phi, gaussian_product_moment_bound,
-                       gaussian_product_moment_bound_repaired, heat_kernel,
-                       normal_cdf)
+                       gaussian_product_moment_bound_repaired,
+                       gaussian_product_split, heat_kernel, normal_cdf)
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       mgf_local_time, second_moment_kernel, two_point_kernel,
                       two_point_kernel_centered, two_point_lebesgue)
@@ -119,7 +119,6 @@ def suite_identities(seed: int = 20260809) -> list[dict]:
         s = float(rng.uniform(0.05, 4.0))
         nu = float(rng.uniform(0.2, 3.0))
         yv, w1, w2 = rng.uniform(-3, 3, size=3)
-        from .gaussian import gaussian_product_split
         ga, gb = gaussian_product_split(s, nu, yv, w1, w2)
         prod = heat_kernel(s, yv - w1, nu) * heat_kernel(s, yv - w2, nu)
         worst_split = max(worst_split, _rel(ga * gb, prod))
@@ -210,6 +209,13 @@ def suite_identities(seed: int = 20260809) -> list[dict]:
         worst = max(worst, _rel(two_point(q, mu, params, formula="split"),
                                 two_point(q, mu, params, formula="direct")))
     checks.append(_check("identities/two_point_form_agreement", worst, 1e-7))
+
+    # The same data translated by 50: the split form must not move.
+    far = two_point(TwoPointQuery(t=0.8, x1=49.8, x2=50.6),
+                    gaussian_density(50.3, 0.8), params, formula="split")
+    near = two_point(q, measures["gaussian"], params, formula="split")
+    checks.append(_check("identities/two_point_translation",
+                         _rel(far, near), 1e-9))
 
     # Gaussian product-moment inequality, 200 draws with p <= 4, against the
     # repaired right side (the printed one is false on these ranges; see

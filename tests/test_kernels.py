@@ -8,8 +8,8 @@ from she_moments.gaussian import heat_kernel
 from she_moments.kernels import (KernelParams, MomentBoundParams,
                                  TwoPointQuery, covariance_kernel,
                                  mgf_local_time, second_moment_kernel,
-                                 second_moment_time_factor, two_point_delta,
-                                 two_point_kernel, two_point_kernel_centered,
+                                 second_moment_time_factor, two_point_kernel,
+                                 two_point_kernel_centered,
                                  two_point_lebesgue, two_point_time_factor)
 
 P11 = KernelParams(nu=1.0, lam=1.0)
@@ -155,21 +155,25 @@ class TestTwoPointKernel:
 class TestTwoPointSpecialMeasures:
     def test_delta_diagonal(self):
         q = TwoPointQuery(t=1.3, x1=0.6, x2=0.6)
-        assert float(two_point_delta(q, P11)) == \
+        assert float(two_point_kernel(q.t, q.x1, q.x2, q.x1 - q.x2,
+                                      P11)) == \
             pytest.approx(float(second_moment_kernel(1.3, 0.6, P11)), rel=1e-13)
 
     def test_delta_zero_coupling(self):
         p0 = KernelParams(nu=1.0, lam=0.0)
         q = TwoPointQuery(t=0.9, x1=0.2, x2=-0.4)
-        assert float(two_point_delta(q, p0)) == \
+        assert float(two_point_kernel(q.t, q.x1, q.x2, q.x1 - q.x2,
+                                      p0)) == \
             pytest.approx(heat_kernel(0.9, 0.2, 1.0) * heat_kernel(0.9, -0.4, 1.0),
                           rel=1e-14)
 
     def test_delta_swap(self):
         q1 = TwoPointQuery(t=0.9, x1=0.2, x2=-0.4)
         q2 = TwoPointQuery(t=0.9, x1=-0.4, x2=0.2)
-        assert float(two_point_delta(q1, P11)) == \
-            pytest.approx(float(two_point_delta(q2, P11)), rel=1e-14)
+        assert float(two_point_kernel(q1.t, q1.x1, q1.x2, q1.x1 - q1.x2,
+                                      P11)) == \
+            pytest.approx(float(two_point_kernel(
+                q2.t, q2.x1, q2.x2, q2.x1 - q2.x2, P11)), rel=1e-14)
 
     def test_lebesgue_diagonal(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
@@ -296,6 +300,25 @@ def test_two_point_kernel_at_product_overflow_raises():
     with pytest.raises(KernelOverflowError):
         kernel(x1 - c["z1"], x2 - c["z2"])
     assert np.isfinite(kernel(x1 - 20.0, x2 + 20.0))
+
+
+# At t = nu = 1, lam = 7.295 the growth tail fits (c = 708) but its product
+# with lam^2 / 2 nu does not; at x = 40 the heat kernel underflows as well,
+# so the product would be inf * 0 = nan.
+TAIL_OVERFLOW = KernelParams(nu=1.0, lam=7.295)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: second_moment_time_factor(1.0, TAIL_OVERFLOW),
+    lambda: two_point_time_factor(1.0, 0.0, TAIL_OVERFLOW),
+    lambda: two_point_time_factor(1.0, np.array([0.0, 1.0]), TAIL_OVERFLOW),
+    lambda: second_moment_kernel(1.0, 40.0, TAIL_OVERFLOW),
+    lambda: second_moment_kernel(1.0, np.array([0.0, 40.0]), TAIL_OVERFLOW),
+], ids=["H", "Htilde", "Htilde_array", "K_far", "K_array"])
+def test_time_factor_overflow_raises(kernel):
+    from she_moments.errors import KernelOverflowError
+    with pytest.raises(KernelOverflowError):
+        kernel()
 
 
 @pytest.mark.parametrize("nu", [np.inf, np.nan])

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from she_moments.errors import DomainError, InadmissibleMeasureError
+from she_moments.errors import (DomainError, InadmissibleMeasureError,
+                                KernelOverflowError)
 from she_moments.gaussian import heat_kernel
 from she_moments.kernels import (KernelParams, TwoPointQuery,
-                                 second_moment_kernel, two_point_delta,
-                                 two_point_kernel, two_point_lebesgue)
+                                 second_moment_kernel, two_point_kernel,
+                                 two_point_lebesgue)
 from she_moments.measures import (DensityMeasure, DiracAtoms,
                                   GrowthCertificate, LebesgueScaled,
                                   MeasureSum, check_membership,
@@ -122,7 +123,8 @@ class TestTwoPoint:
         mu = DiracAtoms(((0.0, 1.0),))
         q = TwoPointQuery(t=1.0, x1=-0.3, x2=0.9)
         assert two_point(q, mu, P11) == \
-            pytest.approx(float(two_point_delta(q, P11)), rel=1e-12)
+            pytest.approx(float(two_point_kernel(q.t, q.x1, q.x2, q.x1 - q.x2,
+                                                 P11)), rel=1e-12)
 
     def test_lebesgue_matches_closed_form(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=1.0)
@@ -227,3 +229,12 @@ class TestMalformedSpecs:
     def test_rejected_as_inadmissible(self, spec):
         with pytest.raises(InadmissibleMeasureError):
             parse_measure(spec)
+
+
+@pytest.mark.parametrize("formula", ["split", "direct"])
+def test_atom_sum_overflow_raises(formula):
+    # The squared mass, 1e400, leaves double precision.
+    mu = DiracAtoms(((0.0, 1e200), (0.5, 1.0)))
+    with pytest.raises(KernelOverflowError):
+        two_point(TwoPointQuery(t=1.0, x1=0.0, x2=1.0), mu, P11,
+                  formula=formula)

@@ -10,15 +10,15 @@ import pytest
 
 from she_moments import measures
 from she_moments.cli import main
-from she_moments.errors import QuadratureError
+from she_moments.errors import DomainError, QuadratureError
 from she_moments.gaussian import heat_kernel
 from she_moments.kernels import (KernelParams, TwoPointQuery,
                                  covariance_kernel, two_point_kernel,
                                  two_point_lebesgue)
 from she_moments.measures import (DensityMeasure, DiracAtoms,
                                   GrowthCertificate, LebesgueScaled,
-                                  MeasureSum, gaussian_density, mean_field,
-                                  two_point)
+                                  MeasureSum, check_membership,
+                                  gaussian_density, mean_field, two_point)
 from she_moments.quadrature import integrate_panels, panel_nodes
 
 SPLIT_VS_DIRECT = 1e-9
@@ -188,7 +188,7 @@ class TestSplitAgainstDirect:
         box = DensityMeasure(
             lambda x: (np.abs(np.asarray(x)) <= 1.0).astype(float),
             GrowthCertificate(amplitude=1.0), nonnegative=True,
-            support_radius=1.0)
+            support=(-1.0, 1.0))
         with pytest.raises(QuadratureError):
             two_point(TwoPointQuery(0.5, 0.0, 0.0), box,
                       KernelParams(nu=1.0, lam=1.0))
@@ -216,14 +216,151 @@ class TestAtomSums:
         assert _rel(two_point(q, mu, params, formula="direct"), full) <= 1e-13
 
 
-def test_refinement_cap_exits_3_from_the_cli(tmp_path, capsys):
-    # A N(1, 1e-5) density is far narrower than the panels its support
-    # radius and the heat kernel suggest; four halvings do not resolve it.
-    path = tmp_path / "narrow.json"
-    path.write_text(json.dumps({"type": "gaussian", "mean": 1.0,
-                                "var": 1e-5}))
-    code = main(["two-point", "--measure", str(path), "--t", "0.8",
-                 "--x1", "0.9", "--x2", "1.3"])
-    err = capsys.readouterr().err
+# 40-digit values of E[u(t,x1) u(t,x2)] for N(m, V) initial data at
+# nu = lam = 1, keyed by (m, V, t, x1, x2) as Python floats.  In rotated
+# coordinates f(z1) f(z2) = N(zbar; m, V/2) N(dz; 0, 2V), so
+#
+#   J0(t, x) = G_nu(t + V/nu, x - m),
+#   E[u u]   = J0(t, x1) J0(t, x2) + (lam^2 / 2 nu) N(xbar; m, (nu t + V)/2)
+#              * 2 int_0^inf N(s; 0, 2V) growth_tail(t, |dx| + s) ds,
+#
+# which mpmath (not a dependency of the package) evaluated once at 50
+# digits with mp.quad, splitting the s range at 1, 4, 10 and 40 sqrt(2V),
+# every input taken as the exact value of its float.
+GAUSSIAN_REFERENCES = {
+    (0.3, 0.8, 0.8, -0.2, 0.6): 0.12410288788420764531,
+    (20.3, 0.8, 0.8, 19.8, 20.6): 0.12410288788420760114,
+    (50.3, 0.8, 0.8, 49.8, 50.6): 0.12410288788420738366,
+    (1000.3, 0.8, 0.8, 999.8, 1000.6): 0.12410288788420346906,
+    (2.0, 3e-4, 0.8, 1.9, 1.9): 0.47190050754805620630,
+    (2.0, 1e-4, 0.8, 1.9, 1.9): 0.47392722194924406773,
+    (2.0, 1e-6, 0.8, 1.9, 1.9): 0.47637643453956084175,
+    (2.0, 1e-8, 0.8, 1.9, 1.9): 0.47661875218112125598,
+    (2.0, 1e-10, 0.8, 1.9, 1.9): 0.47664295775826060442,
+    (1.0, 1e-5, 0.8, 0.9, 1.3): 0.38059398863449400433,
+    (-7.1, 100.0, 0.8, -3.0, 1.5): 0.0010065862149853301468,
+    (0.5, 100.0, 1.3, 5.0, -5.0): 0.0012244994846483497256,
+    (100.3, 1e-6, 0.5, 100.2, 100.5): 0.52674916816328959116,
+    (-300.7, 1e-2, 1.2, -300.0, -301.5): 0.14358614345553531478,
+}
+
+
+class TestSupports:
+    """Every integral of a density runs over its declared support, so data
+    far from the origin or narrower than the heat kernel are found."""
+
+    @pytest.mark.parametrize("row", list(GAUSSIAN_REFERENCES),
+                             ids=lambda row: "m{}_v{}".format(*row[:2]))
+    @pytest.mark.parametrize("formula", ["split", "direct"])
+    def test_gaussian_references(self, row, formula):
+        m, var, t, x1, x2 = row
+        got = two_point(TwoPointQuery(t, x1, x2), gaussian_density(m, var),
+                        KernelParams(nu=1.0, lam=1.0), formula=formula)
+        assert _rel(got, GAUSSIAN_REFERENCES[row]) <= 1e-9
+
+    @pytest.mark.parametrize("m,var,x", [
+        (0.3, 0.8, -0.2), (50.3, 0.8, 49.8), (1000.3, 0.8, 1000.6),
+        (2.0, 1e-4, 1.9), (2.0, 1e-8, 1.9), (-7.1, 100.0, 1.5)])
+    def test_mean_field_is_the_widened_heat_kernel(self, m, var, x):
+        got = mean_field(0.8, x, gaussian_density(m, var), 1.0)
+        assert _rel(got, heat_kernel(0.8 + var, x - m, 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("t,nu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                                      (math.nan, 1.0)])
+    def test_mean_field_rejects_a_bad_time_or_diffusion(self, t, nu):
+        with pytest.raises(DomainError):
+            mean_field(t, 0.0, gaussian_density(0.0, 1.0), nu)
+
+    @pytest.mark.parametrize("var", [1e-8, 1e-4, 0.3, 5.0, 100.0])
+    @pytest.mark.parametrize("formula", ["split", "direct"])
+    def test_translation(self, var, formula):
+        params = KernelParams(nu=1.0, lam=0.9)
+
+        def value(shift):
+            mu = MeasureSum((DiracAtoms(((0.4 + shift, 1.2),
+                                         (-0.7 + shift, 0.3))),
+                             gaussian_density(0.1 + shift, var)))
+            q = TwoPointQuery(0.7, -0.3 + shift, 0.5 + shift)
+            return two_point(q, mu, params, formula=formula)
+        origin = value(0.0)
+        for shift in (30.0, 1000.0):
+            assert _rel(value(shift), origin) <= 1e-9
+
+    @pytest.mark.parametrize("mu,x1,x2", [
+        (gaussian_density(50.3, 0.8), 49.8, 50.6),
+        (gaussian_density(2.0, 1e-6), 1.9, 2.3),
+        (MeasureSum((DiracAtoms(((30.4, 1.2),)),
+                     gaussian_density(30.1, 1e-3))), 29.8, 30.9),
+    ], ids=["far", "narrow", "far_sum"])
+    @pytest.mark.parametrize("formula", ["split", "direct"])
+    def test_observation_swap(self, mu, x1, x2, formula):
+        params = KernelParams(nu=1.0, lam=1.1)
+        a = two_point(TwoPointQuery(0.6, x1, x2), mu, params, formula=formula)
+        b = two_point(TwoPointQuery(0.6, x2, x1), mu, params, formula=formula)
+        assert _rel(a, b) <= 1e-12
+
+    def test_cauchy_density_far_from_the_origin(self):
+        def cauchy(c):
+            return DensityMeasure(
+                lambda x: 1.0 / (1.0 + (np.asarray(x) - c) ** 2),
+                GrowthCertificate(amplitude=1.0), nonnegative=True)
+        params = KernelParams(nu=1.0, lam=1.0)
+        origin = two_point(TwoPointQuery(0.8, -0.2, 0.6), cauchy(0.0), params)
+        far = TwoPointQuery(0.8, 99.8, 100.6)
+        for formula in ("split", "direct"):
+            assert _rel(two_point(far, cauchy(100.0), params,
+                                  formula=formula), origin) <= 1e-9
+
+    def test_membership_integrates_over_the_support(self):
+        # int exp(-a x^2) N(x; m, V) dx = exp(-a m^2 / (1 + 2aV)) / sqrt(1 + 2aV)
+        m, var = 2.0, 1e-10
+        (row,) = check_membership(gaussian_density(m, var), [0.5])
+        k = 1.0 + 2.0 * 0.5 * var
+        assert _rel(row["integral"],
+                    math.exp(-0.5 * m * m / k) / math.sqrt(k)) <= 1e-9
+
+    @pytest.mark.parametrize("support", [
+        (1.0, 1.0), (2.0, -2.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_empty_or_nan_support_is_rejected(self, support):
+        with pytest.raises(DomainError):
+            DensityMeasure(lambda x: x, GrowthCertificate(amplitude=1.0),
+                           support=support)
+
+    def test_support_extent(self):
+        assert gaussian_density(-3.0, 0.25).support_extent() == 7.0
+        assert CAUCHY.support_extent() == 0.0
+        assert CAUCHY.support == (-math.inf, math.inf)
+
+
+def _two_point_cli(tmp_path, measure, *extra):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(measure))
+    return main(["two-point", "--measure", str(path), "--t", "0.8",
+                 "--x1", "0.9", "--x2", "1.3", *extra])
+
+
+def test_narrow_gaussian_prints_its_value_from_the_cli(tmp_path, capsys):
+    # N(1, 1e-5) is far narrower than the heat kernel; its support puts the
+    # panels on it.
+    narrow = {"type": "gaussian", "mean": 1.0, "var": 1e-5}
+    assert _two_point_cli(tmp_path, narrow) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    value = float(row.split(",")[header.split(",").index("value")])
+    assert _rel(value, 0.38059398863449400433) <= 1e-12
+    assert _two_point_cli(tmp_path, narrow, "--method", "both") == 0
+
+
+def test_quadrature_error_exits_3_from_the_cli(tmp_path, capsys,
+                                               monkeypatch):
+    from she_moments import cli
+
+    def refuse(*args, **kwargs):
+        raise QuadratureError("panel quadrature did not converge",
+                              achieved=1.0, requested=1e-10)
+    monkeypatch.setattr(cli, "two_point", refuse)
+    code = _two_point_cli(tmp_path, {"type": "gaussian", "mean": 1.0,
+                                     "var": 1.0})
+    captured = capsys.readouterr()
     assert code == 3
-    assert "panel quadrature did not converge" in err
+    assert captured.out == ""
+    assert "panel quadrature did not converge" in captured.err

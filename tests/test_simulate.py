@@ -307,7 +307,7 @@ class TestTwinOracles:
         mu = DensityMeasure(
             lambda x: ((np.asarray(x) >= -1.0) & (np.asarray(x) <= 1.0)).astype(float),
             GrowthCertificate(amplitude=1.0), nonnegative=True,
-            support_radius=1.0)
+            support=(-1.0, 1.0))
         fk = fk_two_point(q, u0, 1.0, 1.0, McConfig(n_paths=400_000, seed=7))
         grid = SpdeGrid(L=5.3, dx=0.05, dt=1.25e-3, t_final=0.5,
                         boundary="neumann0")
