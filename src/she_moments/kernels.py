@@ -124,8 +124,7 @@ def require_finite(value, name: str):
     """``value``, or KernelOverflowError if an element is not finite: a
     growth tail that fits can overflow times its prefactor (or give nan)."""
     if not np.all(np.isfinite(value)):
-        raise KernelOverflowError(f"{name} is not finite: it overflows "
-                                  "double precision")
+        raise KernelOverflowError(f"{name} is not finite: it overflows")
     return value
 
 

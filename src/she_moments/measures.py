@@ -286,11 +286,6 @@ def parse_measure(obj: dict) -> InitialMeasure:
 # Heat smoothing (mean field)
 # ---------------------------------------------------------------------------
 
-def _atom_arrays(mu: DiracAtoms) -> tuple[np.ndarray, np.ndarray]:
-    locs, masses = np.array(mu.atoms, dtype=float).T
-    return locs, masses
-
-
 def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
     """J0(t, x): the heat semigroup applied to the initial measure.
 
@@ -300,14 +295,13 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
     if not (t > 0 and nu > 0):
         raise DomainError("mean_field requires t > 0 and nu > 0")
     if isinstance(mu, DiracAtoms):
-        locs, masses = _atom_arrays(mu)
+        locs, masses = np.array(mu.atoms, dtype=float).T
         return float(masses @ heat_kernel(t, x - locs, nu))
     if isinstance(mu, LebesgueScaled):
         return mu.scale
     if isinstance(mu, DensityMeasure):
         sigma = math.sqrt(nu * t)
-        w = _tail_radius(lambda r: -0.5 * (r / sigma) ** 2
-                         + _log_growth([mu.certificate], abs(x), r), sigma)
+        w = _gauss_reach(sigma, [mu.certificate], abs(x))
         edges = _graded_edges(mu.support, ((x, w),), x, sigma, 3.0 * sigma)
         return 0.0 if edges is None else integrate_panels(
             lambda y: mu.f(y) * heat_kernel(t, x - y, nu), edges,
@@ -336,8 +330,8 @@ def _density_view(mu: InitialMeasure):
 def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
               kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     """Σ m1 m2 kernel(x1, x2) over all atom pairs, in one kernel call."""
-    x1, m1 = _atom_arrays(mu1)
-    x2, m2 = _atom_arrays(mu2)
+    (x1, m1), (x2, m2) = (np.array(mu.atoms, dtype=float).T
+                          for mu in (mu1, mu2))
     with np.errstate(over="ignore", invalid="ignore"):
         return require_finite(float(m1 @ kernel(x1[:, None], x2[None, :])
                                     @ m2), "the atom sum")
@@ -439,6 +433,13 @@ def _log_growth(certs: Sequence[GrowthCertificate], x0: float,
                for c in certs)
 
 
+def _gauss_reach(sd: float, certs, x0: float, offset: float = 0.0) -> float:
+    """Half-width past which a Gaussian of width ``sd`` times the growth of
+    the certificates from x0, ``offset`` further out, is below e^-_TAIL."""
+    return _tail_radius(lambda r: -0.5 * (r / sd) ** 2
+                        + _log_growth(certs, x0, r + offset), sd)
+
+
 def _graded_edges(support: tuple[float, float], windows, kink: float,
                   first: float, widest: float) -> np.ndarray | None:
     """Panel edges on [lo, hi], the support cut to every window
@@ -484,10 +485,6 @@ class _SplitKernelScales:
         self.first = 0.5 * (min(self.s, 1.0 / self.rate) if self.rate
                             else self.s)
 
-    def log_bar(self, r: float) -> float:
-        """log of the zbar factor at offset r from xbar, over its peak."""
-        return -0.5 * (r / self.sigma) ** 2
-
     def log_sep(self, r: float) -> float:
         """Upper bound of log K(|dz| = r) / K(dz = 0).  exp(-rate r) bounds
         the exponential; for Phi, d/du -log Phi(-u) >= max(u, 0)."""
@@ -524,9 +521,7 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
             w_sep = _tail_radius(
                 lambda r: sc.log_sep(r) + _log_growth([cert], abs(loc), r),
                 sc.s)
-            w_bar = 2.0 * _tail_radius(
-                lambda r: sc.log_bar(r)
-                + _log_growth([cert], abs(centre), 2.0 * r), sc.sigma)
+            w_bar = _gauss_reach(2.0 * sc.sigma, [cert], abs(centre))
             edges = _graded_edges(support, ((loc, w_sep), (centre, w_bar)),
                                   loc, sc.first, 2.0 * sc.s)
             if edges is None:
@@ -538,12 +533,10 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
         return total, err
 
     (f1, c1, s1), (f2, c2, s2) = _density_view(mu1), _density_view(mu2)
-    certs = [c1, c2]
     x0 = abs(q.x_bar)
     w_sep = _tail_radius(lambda r: sc.log_sep(r)
-                         + _log_growth(certs, x0, 0.5 * r), sc.s)
-    w_bar = _tail_radius(lambda r: sc.log_bar(r)
-                         + _log_growth(certs, x0, r + 0.5 * w_sep), sc.sigma)
+                         + _log_growth((c1, c2), x0, 0.5 * r), sc.s)
+    w_bar = _gauss_reach(sc.sigma, (c1, c2), x0, 0.5 * w_sep)
     bar_range, sep_range = _pair_supports(s1, s2)
     bar_edges = _graded_edges(bar_range, ((q.x_bar, w_bar),), q.x_bar,
                               3.0 * sc.sigma, 3.0 * sc.sigma)
