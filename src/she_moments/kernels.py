@@ -122,8 +122,10 @@ class MomentBoundParams:
 
 def require_finite(value, name: str):
     """``value``, or KernelOverflowError if an element is not finite: a
-    growth tail that fits can overflow times its prefactor (or give nan)."""
-    if not np.all(np.isfinite(value)):
+    growth tail that fits can overflow times its prefactor (or give nan).
+    Floats, the per-point quadrature case, skip numpy's array machinery."""
+    if not (math.isfinite(value) if isinstance(value, float)
+            else np.all(np.isfinite(value))):
         raise KernelOverflowError(f"{name} is not finite: it overflows")
     return value
 

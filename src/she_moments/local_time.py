@@ -41,7 +41,7 @@ from .errors import DomainError
 from .gaussian import normal_cdf
 from .quadrature import integrate_1d
 
-__all__ = ["JointLocalTimeLaw", "sample_joint", "first_passage_convolution",
+__all__ = ["JointLocalTimeLaw", "first_passage_convolution",
            "first_passage_rhs_printed"]
 
 _EXP_UNDERFLOW = 745.0
@@ -205,11 +205,6 @@ class JointLocalTimeLaw:
         if size is None:
             return float(y[0]), float(v[0])
         return y, v
-
-
-def sample_joint(law: JointLocalTimeLaw, rng: np.random.Generator):
-    """One exact draw of ``(B_t, L_t^a)``; convenience wrapper."""
-    return law.sample(rng)
 
 
 def first_passage_convolution(t: float, a: float, b: float):

@@ -47,7 +47,7 @@ from .rng import (DOMAIN_FK, DOMAIN_FK_OCC, DOMAIN_SPDE, path_generator,
                   uniforms_at)
 
 __all__ = [
-    "Estimate", "SpdeGrid", "McConfig", "RhoSpec", "BoundedInitialData",
+    "Estimate", "SpdeGrid", "McConfig", "RhoSpec",
     "spde_solve_path", "spde_estimate_two_point",
     "spde_lattice_second_moment", "fk_two_point",
     "fk_two_point_occupation",
@@ -151,7 +151,7 @@ class RhoSpec:
 
     ``linear(lam)``:    rho(u) = lam * u
     ``clipped(lam, c)``: rho(u) = lam * clip(u, -c, c)   (Lipschitz lam)
-    ``zero()``:          rho == 0
+    ``zero()``:          rho == 0, the linear preset at lam = 0
     """
 
     def __init__(self, kind: str, lam: float = 0.0, clip: float = 0.0):
@@ -160,7 +160,7 @@ class RhoSpec:
         if kind == "clipped" and clip <= 0:
             raise ConfigError("clipped rho requires clip > 0")
         self.kind = kind
-        self.lam = float(lam)
+        self.lam = 0.0 if kind == "zero" else float(lam)
         self.clip = float(clip)
 
     @classmethod
@@ -177,48 +177,18 @@ class RhoSpec:
 
     @property
     def lip_upper(self) -> float:
-        return abs(self.lam) if self.kind != "zero" else 0.0
+        return abs(self.lam)
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or self.lam == 0.0
+        return self.lam == 0.0
 
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None
                  ) -> np.ndarray:
-        if self.kind == "linear":
-            return np.multiply(u, self.lam, out=out)
         if self.kind == "clipped":
             clipped = np.clip(u, -self.clip, self.clip, out=out)
             return np.multiply(clipped, self.lam, out=clipped)
-        if out is None:
-            return np.zeros_like(u)
-        out.fill(0.0)
-        return out
-
-
-@dataclass(frozen=True)
-class BoundedInitialData:
-    """Bounded measurable initial function with a declared sup-norm bound."""
-
-    f: Callable[[np.ndarray], np.ndarray]
-    sup_bound: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sup_bound) and self.sup_bound >= 0):
-            raise ConfigError("BoundedInitialData requires a finite sup-norm "
-                              "certificate")
-
-    @classmethod
-    def constant(cls, value: float) -> "BoundedInitialData":
-        return cls(lambda x: np.full_like(np.asarray(x, dtype=float), value),
-                   abs(value))
-
-    @classmethod
-    def indicator(cls, lo: float, hi: float) -> "BoundedInitialData":
-        if not (lo < hi):
-            raise ConfigError("indicator requires lo < hi")
-        return cls(lambda x: ((np.asarray(x) >= lo)
-                              & (np.asarray(x) <= hi)).astype(float), 1.0)
+        return np.multiply(u, self.lam, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +408,36 @@ def spde_estimate_two_point(q: TwoPointQuery, mu: InitialMeasure,
 # Feynman-Kac engines
 # ---------------------------------------------------------------------------
 
-def fk_two_point(q: TwoPointQuery, u0: BoundedInitialData, nu: float,
+def _bounded_function(u0: InitialMeasure) -> Callable[[np.ndarray],
+                                                     np.ndarray]:
+    """``u0`` as a function of position, for the Feynman-Kac engines: a
+    constant (``LebesgueScaled``), or a density whose growth certificate
+    bounds it.  Atoms, sums and growing envelopes are a ConfigError."""
+    if isinstance(u0, LebesgueScaled):
+        c = u0.scale
+        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+    if isinstance(u0, DensityMeasure):
+        cert = u0.certificate
+        if cert.degree == 0 and (cert.rate <= 0 or cert.power == 0):
+            return u0.f
+    raise ConfigError("Feynman-Kac engines require a constant (lebesgue) u0 "
+                      "or a density with a bounded certificate, got "
+                      f"{type(u0).__name__}")
+
+
+def fk_two_point(q: TwoPointQuery, u0: InitialMeasure, nu: float,
                  lam: float, mc: McConfig) -> Estimate:
     """Unbiased Feynman-Kac estimate of E[u(t,x1) u(t,x2)] for bounded
     function initial data, via exact joint (endpoint, local time) sampling.
+    ``u0`` is a ``LebesgueScaled`` constant or a ``DensityMeasure`` whose
+    certificate bounds it; anything else is a ConfigError.
 
     Each path consumes exactly five uniforms from its counter-based
     substream, so the estimate is reproducible across any partitioning.
     """
     if not (nu > 0):
         raise DomainError(f"fk_two_point requires nu > 0, got {nu}")
+    f = _bounded_function(u0)
     law = JointLocalTimeLaw(t=2.0 * nu * q.t, a=q.x2 - q.x1)
     scale = math.sqrt(2.0 * nu * q.t)
     rate = lam * lam / (2.0 * nu)
@@ -457,15 +447,15 @@ def fk_two_point(q: TwoPointQuery, u0: BoundedInitialData, nu: float,
         u = uniforms_at(mc.seed, DOMAIN_FK, idx, 5)
         y, v = law.sample_from_uniforms(u[:, :4])
         w2 = scale * special.ndtri(u[:, 4])
-        vals = (np.asarray(u0.f(q.x1 + 0.5 * (w2 + y)), dtype=float)
-                * np.asarray(u0.f(q.x2 + 0.5 * (w2 - y)), dtype=float))
+        vals = (np.asarray(f(q.x1 + 0.5 * (w2 + y)), dtype=float)
+                * np.asarray(f(q.x2 + 0.5 * (w2 - y)), dtype=float))
         return vals * np.exp(rate * v)
 
     values = _parallel_values(mc.n_paths, mc.batch_size, mc.workers, task)
     return _estimate_from_values(values, mc.n_paths)
 
 
-def fk_two_point_occupation(q: TwoPointQuery, u0: BoundedInitialData,
+def fk_two_point_occupation(q: TwoPointQuery, u0: InitialMeasure,
                             nu: float, lam: float, mc: McConfig,
                             eps: float, n_steps: int) -> Estimate:
     """Feynman-Kac estimate with a discretised interaction clock.
@@ -482,6 +472,7 @@ def fk_two_point_occupation(q: TwoPointQuery, u0: BoundedInitialData,
         raise ConfigError(f"eps must be > 0, got {eps}")
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    f = _bounded_function(u0)
     a = q.x2 - q.x1
     dt_s = q.t / n_steps
     inc_scale = math.sqrt(2.0 * nu * dt_s)
@@ -502,7 +493,7 @@ def fk_two_point_occupation(q: TwoPointQuery, u0: BoundedInitialData,
             s_t = gen.standard_normal() * end_scale
             b1 = 0.5 * (s_t + d[-1])
             b2 = 0.5 * (s_t - d[-1])
-            out[i - lo] = (float(u0.f(q.x1 + b1)) * float(u0.f(q.x2 + b2))
+            out[i - lo] = (float(f(q.x1 + b1)) * float(f(q.x2 + b2))
                            * math.exp(lam2 * occ))
         return out
 

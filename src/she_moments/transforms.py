@@ -77,11 +77,6 @@ class TransformCase:
             return self.lam ** 4 / (4.0 * self.nu)
         return 0.0
 
-    def pole(self) -> float | None:
-        if self.name in _HAS_POLE and self.lam != 0.0:
-            return self.lam ** 4 / (4.0 * self.nu)
-        return None
-
     def time_fn(self) -> Callable[[float], float]:
         nu, lam, x, x2, a = self.nu, self.lam, self.x, self.x2, self.a
         params = self.params

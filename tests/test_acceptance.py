@@ -33,8 +33,7 @@ from she_moments.local_time import JointLocalTimeLaw, first_passage_convolution
 from she_moments.measures import (DiracAtoms, LebesgueScaled, second_moment,
                                   two_point)
 from she_moments.quadrature import integrate_1d
-from she_moments.simulate import (BoundedInitialData, McConfig, RhoSpec,
-                                  SpdeGrid, fk_two_point,
+from she_moments.simulate import (McConfig, RhoSpec, SpdeGrid, fk_two_point,
                                   spde_estimate_two_point, spde_solve_path)
 from she_moments.verify import suite_laplace
 
@@ -261,7 +260,7 @@ def test_criterion_09_sampler_fidelity():
 def test_criterion_10_feynman_kac_estimator():
     start = time.time()
     mc = McConfig(n_paths=1_000_000, seed=1010, batch_size=100_000)
-    u0 = BoundedInitialData.constant(1.0)
+    u0 = LebesgueScaled(1.0)
     zs = []
     for dx in (0.0, 1.0):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=dx)

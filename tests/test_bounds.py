@@ -5,7 +5,8 @@ from she_moments.bounds import p_moment_upper_bound, second_moment_lower_bound
 from she_moments.errors import InadmissibleMeasureError
 from she_moments.kernels import (KernelParams, MomentBoundParams,
                                  TwoPointQuery, two_point_lebesgue)
-from she_moments.measures import (DiracAtoms, LebesgueScaled,
+from she_moments.measures import (DensityMeasure, DiracAtoms,
+                                  GrowthCertificate, LebesgueScaled,
                                   gaussian_density, mean_field, second_moment)
 
 
@@ -41,6 +42,26 @@ class TestUpperBound:
         assert p_moment_upper_bound(0.6, 0.0, signed, bounds, 1.0) == \
             pytest.approx(p_moment_upper_bound(0.6, 0.0, unsigned, bounds, 1.0),
                           rel=1e-12)
+
+    def test_signed_density_uses_total_variation(self):
+        def f(x):
+            return (1.0 - 2.0 * x) * np.exp(-x * x)
+        signed = DensityMeasure(f, GrowthCertificate(amplitude=2.0,
+                                                     degree=1.0),
+                                support=(-6.0, 6.0))
+        tv = signed.total_variation()
+        xs = np.linspace(-3.0, 3.0, 61)
+        assert tv.is_nonnegative and tv.support == signed.support
+        assert np.array_equal(tv.f(xs), np.abs(f(xs)))
+        bounds = MomentBoundParams(p=4.0, lip_upper=0.1)
+        got = p_moment_upper_bound(0.6, 0.2, signed, bounds, 1.0)
+        absolute = DensityMeasure(lambda x: np.abs(f(x)),
+                                  signed.certificate, nonnegative=True,
+                                  support=signed.support)
+        want = second_moment(0.6, 0.2, absolute,
+                             KernelParams(nu=1.0, lam=bounds.effective_lambda),
+                             formula="direct")
+        assert got == pytest.approx(bounds.c_p * want, rel=1e-12)
 
 
 class TestLowerBound:

@@ -124,6 +124,27 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "local-time")
         assert code == 0
 
+    def test_all_suite_passes_and_lists_every_identity(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 0
+        report = json.loads(out)
+        assert report["all_pass"] is True
+        names = [c["name"] for c in report["checks"]]
+        assert len(names) == len(set(names))
+        assert [n for n in names if n.startswith("identities/")] == [
+            f"identities/{name}" for name in (
+                "kernel_decomposition", "form_equivalence",
+                "gaussian_product_split", "exp_phi_direct",
+                "heat_kernel_mass", "chapman_kolmogorov",
+                "conv_heat_time_factor", "conv_heat_offset_factor",
+                "lebesgue_two_point", "delta_second_moment",
+                "two_point_form_agreement", "two_point_translation",
+                "gaussian_moment_inequality_repaired",
+                "first_passage_convolution", "first_passage_scaling",
+                "mgf_bounds")]
+        assert any(n.startswith("laplace/") for n in names)
+        assert any(n.startswith("local_time/") for n in names)
+
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "everything"])
@@ -209,6 +230,22 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--engine", "spde",
                              "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("measure", [
+        {"type": "gaussian", "mean": 0.1, "var": 0.3},
+        {"type": "sum", "terms": [
+            {"type": "atoms", "atoms": [[0.2, 0.5]]},
+            {"type": "gaussian", "mean": -0.3, "var": 0.2, "mass": 1.0}]},
+    ], ids=["gaussian", "sum"])
+    def test_spde_oracle_on_measure_data(self, capsys, tmp_path, measure):
+        config = dict(SPDE_CONFIG, measure=measure,
+                      grid={"L": 8.0, "dx": 0.05, "dt": 0.00125},
+                      mc={"n_paths": 2000, "seed": 5, "batch_size": 500})
+        code, out, _ = _simulate(capsys, tmp_path, "spde", config, "--oracle")
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert np.isfinite(oracle["value"]) and oracle["value"] > 0
+        assert abs(oracle["z_score"]) <= 4.0
 
     def test_oracle_requires_linear_rho(self, capsys, tmp_path):
         cfg = tmp_path / "clip.json"

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from she_moments.kernels import TwoPointQuery
+from she_moments.measures import LebesgueScaled
 from she_moments.rng import DOMAIN_FK, DOMAIN_SPDE, uniforms_at
-from she_moments.simulate import BoundedInitialData, McConfig, fk_two_point
+from she_moments.simulate import McConfig, fk_two_point
 
 BIG_SEED = 2**63 + 12345
 DOMAINS = {"fk": DOMAIN_FK, "spde": DOMAIN_SPDE}
@@ -93,7 +94,7 @@ def test_fk_two_point_estimate_is_pinned():
     # 50,000 paths in batches of 7,000 on two workers: the last batch is
     # short, so uneven batch edges are part of the pin.
     est = fk_two_point(TwoPointQuery(0.9, -0.3, 0.4),
-                       BoundedInitialData.constant(1.5), 1.0, 1.0,
+                       LebesgueScaled(1.5), 1.0, 1.0,
                        McConfig(n_paths=50_000, seed=2024, batch_size=7_000,
                                 workers=2))
     assert repr(est) == ("Estimate(value=3.10862636180801, "

@@ -8,7 +8,7 @@ from she_moments.gaussian import heat_kernel
 from she_moments.kernels import mgf_local_time
 from she_moments.local_time import (JointLocalTimeLaw,
                                     first_passage_convolution,
-                                    first_passage_rhs_printed, sample_joint)
+                                    first_passage_rhs_printed)
 from she_moments.quadrature import integrate_1d
 
 
@@ -92,6 +92,23 @@ class TestMarginals:
             atom = integrate_1d(lambda y: law.atom_profile(y), lo, hi)
             assert cont + atom == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("t,a,box", [
+        (1.0, 0.5, (-0.5, 1.5, 0.2, 0.9)),
+        (0.7, -1.2, (-3.0, -1.0, 0.0, 0.4)),
+        (2.0, 0.0, (0.3, 2.5, 1.0, 3.0)),
+    ])
+    def test_cell_probability_on_a_finite_box(self, t, a, box):
+        # A finite v_hi: the exact inner v-integral against quadrature of
+        # the density over the same (y, v) box.
+        y_lo, y_hi, v_lo, v_hi = box
+        law = JointLocalTimeLaw(t=t, a=a)
+        want = integrate_1d(
+            lambda y: integrate_1d(lambda v: law.density_cont(y, v),
+                                   v_lo, v_hi), y_lo, y_hi)
+        got = law.cell_probability(y_lo, y_hi, v_lo, v_hi)
+        assert want > 1e-3
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_endpoint_marginal_recovers_gaussian(self):
         law = JointLocalTimeLaw(t=1.0, a=1.0)
         for y in (-2.0, -0.5, 0.3, 0.999, 1.2, 3.0):
@@ -116,8 +133,8 @@ class TestSampler:
         assert np.array_equal(y1, y2) and np.array_equal(v1, v2)
 
     def test_scalar_draw(self):
-        y, v = sample_joint(JointLocalTimeLaw(t=1.0, a=0.5),
-                            np.random.default_rng(0))
+        y, v = JointLocalTimeLaw(t=1.0, a=0.5).sample(
+            np.random.default_rng(0))
         assert isinstance(y, float) and isinstance(v, float)
         assert v >= 0.0
 

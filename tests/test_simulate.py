@@ -6,10 +6,11 @@ import pytest
 from she_moments.errors import ConfigError, DivergenceError, DomainError
 from she_moments.gaussian import heat_kernel
 from she_moments.kernels import KernelParams, TwoPointQuery, two_point_lebesgue
-from she_moments.measures import DiracAtoms, LebesgueScaled, gaussian_density
-from she_moments.simulate import (BoundedInitialData, Estimate, McConfig,
-                                  RhoSpec, SpdeGrid, fk_two_point,
-                                  fk_two_point_occupation,
+from she_moments.measures import (DensityMeasure, DiracAtoms,
+                                  GrowthCertificate, LebesgueScaled,
+                                  gaussian_density, two_point)
+from she_moments.simulate import (Estimate, McConfig, RhoSpec, SpdeGrid,
+                                  fk_two_point, fk_two_point_occupation,
                                   spde_estimate_two_point,
                                   spde_lattice_second_moment, spde_solve_path)
 
@@ -50,14 +51,27 @@ class TestConfigs:
         zero = RhoSpec.zero()
         assert zero.is_zero
 
-    def test_u0_presets(self):
-        const = BoundedInitialData.constant(2.0)
-        assert const.sup_bound == 2.0
-        ind = BoundedInitialData.indicator(-1.0, 1.0)
-        assert np.array_equal(ind.f(np.array([-2.0, 0.0, 0.5, 2.0])),
-                              [0.0, 1.0, 1.0, 0.0])
-        with pytest.raises(ConfigError):
-            BoundedInitialData(lambda x: x, math.inf)
+    def test_zero_preset_is_linear_at_zero(self):
+        zero = RhoSpec("zero", lam=3.0)
+        u = np.array([1.5, -2.0, 0.0])
+        assert zero.lam == 0.0 and zero.lip_upper == 0.0
+        assert np.array_equal(zero(u), np.zeros(3))
+        out = np.full(3, 7.0)
+        assert zero(u, out=out) is out and np.array_equal(out, np.zeros(3))
+
+    @pytest.mark.parametrize("u0", [
+        DiracAtoms(((0.0, 1.0),)),
+        DensityMeasure(lambda x: np.asarray(x, dtype=float),
+                       GrowthCertificate(amplitude=1.0, degree=1.0)),
+    ], ids=["atoms", "degree_1"])
+    def test_fk_refuses_unbounded_u0(self, u0):
+        q = TwoPointQuery(t=1.0, x1=0.0, x2=0.5)
+        with pytest.raises(ConfigError, match="bounded"):
+            fk_two_point(q, u0, 1.0, 1.0, McConfig(n_paths=10, seed=0))
+        with pytest.raises(ConfigError, match="bounded"):
+            fk_two_point_occupation(q, u0, 1.0, 1.0,
+                                    McConfig(n_paths=10, seed=0),
+                                    eps=1e-2, n_steps=10)
 
 
 class TestSpdeSolver:
@@ -173,21 +187,21 @@ class TestSpdeEstimator:
 class TestFkEngine:
     def test_zero_coupling_constant_data(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.5)
-        est = fk_two_point(q, BoundedInitialData.constant(1.0), 1.0, 0.0,
+        est = fk_two_point(q, LebesgueScaled(1.0), 1.0, 0.0,
                            McConfig(n_paths=500, seed=1))
         assert est.value == 1.0
         assert est.std_error == 0.0
 
     def test_matches_closed_form(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=1.0)
-        est = fk_two_point(q, BoundedInitialData.constant(1.0), 1.0, 1.0,
+        est = fk_two_point(q, LebesgueScaled(1.0), 1.0, 1.0,
                            McConfig(n_paths=200_000, seed=2))
         oracle = two_point_lebesgue(q, P11)
         assert abs(est.value - oracle) < 4 * est.std_error
 
     def test_scaled_constant_data(self):
         q = TwoPointQuery(t=0.5, x1=0.0, x2=0.0)
-        est = fk_two_point(q, BoundedInitialData.constant(2.0), 1.0, 1.0,
+        est = fk_two_point(q, LebesgueScaled(2.0), 1.0, 1.0,
                            McConfig(n_paths=100_000, seed=3))
         oracle = 4.0 * two_point_lebesgue(q, P11)
         assert abs(est.value - oracle) < 4 * est.std_error
@@ -195,14 +209,29 @@ class TestFkEngine:
     def test_general_diffusion_coefficient(self):
         nu = 1.7
         q = TwoPointQuery(t=0.8, x1=0.0, x2=0.6)
-        est = fk_two_point(q, BoundedInitialData.constant(1.0), nu, 1.0,
+        est = fk_two_point(q, LebesgueScaled(1.0), nu, 1.0,
                            McConfig(n_paths=200_000, seed=4))
         oracle = two_point_lebesgue(q, KernelParams(nu=nu, lam=1.0))
         assert abs(est.value - oracle) < 4 * est.std_error
 
+    @pytest.mark.parametrize("mean,var,q,nu,lam,seed", [
+        (0.3, 0.5, TwoPointQuery(t=0.5, x1=0.0, x2=0.4), 1.0, 1.0, 21),
+        (-0.2, 1.0, TwoPointQuery(t=1.0, x1=0.1, x2=0.1), 1.5, 0.8, 22),
+        (50.3, 0.8, TwoPointQuery(t=0.8, x1=49.8, x2=50.6), 1.0, 1.0, 23),
+    ], ids=["near", "diagonal", "far_off"])
+    def test_gaussian_data_match_split_route(self, mean, var, q, nu, lam,
+                                             seed):
+        # Density data need no quadrature here, so this checks the split
+        # route, far-off Gaussians included, against an unbiased estimate.
+        mu = gaussian_density(mean, var)
+        est = fk_two_point(q, mu, nu, lam, McConfig(n_paths=200_000,
+                                                    seed=seed))
+        want = two_point(q, mu, KernelParams(nu=nu, lam=lam))
+        assert abs(est.value - want) <= 4 * est.std_error
+
     def test_reproducible_across_workers_and_batches(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
-        u0 = BoundedInitialData.constant(1.0)
+        u0 = LebesgueScaled(1.0)
         base = fk_two_point(q, u0, 1.0, 1.0,
                             McConfig(n_paths=20_000, seed=5, batch_size=1000,
                                      workers=1))
@@ -214,7 +243,7 @@ class TestFkEngine:
 
     def test_estimate_fields(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
-        est = fk_two_point(q, BoundedInitialData.constant(1.0), 1.0, 1.0,
+        est = fk_two_point(q, LebesgueScaled(1.0), 1.0, 1.0,
                            McConfig(n_paths=1000, seed=6))
         assert isinstance(est, Estimate)
         assert est.n == 1000
@@ -224,7 +253,7 @@ class TestFkEngine:
 class TestOccupationEngine:
     def test_zero_coupling_exact(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
-        est = fk_two_point_occupation(q, BoundedInitialData.constant(1.0),
+        est = fk_two_point_occupation(q, LebesgueScaled(1.0),
                                       1.0, 0.0, McConfig(n_paths=200, seed=0),
                                       eps=1e-2, n_steps=100)
         assert est.value == 1.0
@@ -232,7 +261,7 @@ class TestOccupationEngine:
 
     def test_biased_estimate_near_closed_form(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
-        est = fk_two_point_occupation(q, BoundedInitialData.constant(1.0),
+        est = fk_two_point_occupation(q, LebesgueScaled(1.0),
                                       1.0, 1.0,
                                       McConfig(n_paths=3000, seed=1,
                                                batch_size=500),
@@ -242,7 +271,7 @@ class TestOccupationEngine:
 
     def test_parameter_validation(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
-        u0 = BoundedInitialData.constant(1.0)
+        u0 = LebesgueScaled(1.0)
         with pytest.raises(ConfigError):
             fk_two_point_occupation(q, u0, 1.0, 1.0,
                                     McConfig(n_paths=10, seed=0),
@@ -256,7 +285,7 @@ class TestOccupationEngine:
     def test_non_positive_nu_is_a_domain_error(self, nu):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
         with pytest.raises(DomainError, match="nu > 0"):
-            fk_two_point_occupation(q, BoundedInitialData.constant(1.0), nu,
+            fk_two_point_occupation(q, LebesgueScaled(1.0), nu,
                                     1.0, McConfig(n_paths=10, seed=0),
                                     eps=1e-3, n_steps=10)
 
@@ -266,7 +295,7 @@ class TestOccupationEngine:
         # (At *fixed* eps the estimator converges to the eps-mollified
         # value, so the residual mollification bias would remain.)
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
-        u0 = BoundedInitialData.constant(1.0)
+        u0 = LebesgueScaled(1.0)
         oracle = two_point_lebesgue(q, P11)
 
         def mean_abs_err(eps, n_steps):
@@ -290,7 +319,7 @@ class TestIntermittencyDirection:
         # one at lam = 0.5 at equal path counts, consistent with the
         # exp(lam^4 t / 4 nu) growth of the closed form.
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
-        u0 = BoundedInitialData.constant(1.0)
+        u0 = LebesgueScaled(1.0)
         mc = McConfig(n_paths=100_000, seed=77)
         strong = fk_two_point(q, u0, 1.0, 1.0, mc)
         weak = fk_two_point(q, u0, 1.0, 0.5, mc)
@@ -301,14 +330,12 @@ class TestIntermittencyDirection:
 class TestTwinOracles:
     def test_indicator_data_spde_vs_fk(self):
         # Same moment estimated by the two independent stochastic routes.
-        from she_moments.measures import DensityMeasure, GrowthCertificate
         q = TwoPointQuery(t=0.5, x1=0.0, x2=0.0)
-        u0 = BoundedInitialData.indicator(-1.0, 1.0)
         mu = DensityMeasure(
             lambda x: ((np.asarray(x) >= -1.0) & (np.asarray(x) <= 1.0)).astype(float),
             GrowthCertificate(amplitude=1.0), nonnegative=True,
             support=(-1.0, 1.0))
-        fk = fk_two_point(q, u0, 1.0, 1.0, McConfig(n_paths=400_000, seed=7))
+        fk = fk_two_point(q, mu, 1.0, 1.0, McConfig(n_paths=400_000, seed=7))
         grid = SpdeGrid(L=5.3, dx=0.05, dt=1.25e-3, t_final=0.5,
                         boundary="neumann0")
         sp = spde_estimate_two_point(q, mu, RhoSpec.linear(1.0), 1.0, grid,
