@@ -362,23 +362,17 @@ def _cmd_local_time(args) -> int:
         rows = []
         for y in _parse_grid(args.y):
             for v in _parse_grid(args.v):
-                if v <= 0:
-                    raise DomainError("density grid requires v > 0; the atom "
-                                      "profile is reported separately via "
-                                      "column v=0 requests")
                 rows.append({"y": float(y), "v": float(v),
                              "f": law.density_cont(float(y), float(v))})
         _write_csv(rows, args.out)
         return EXIT_OK
-    if args.lt_command == "sample":
-        if args.n < 1:
-            raise ConfigError(f"sample requires --n >= 1, got {args.n}")
-        rng = np.random.default_rng(args.seed)
-        y, v = law.sample(rng, size=args.n)
-        rows = [{"y": float(yi), "v": float(vi)} for yi, vi in zip(y, v)]
-        _write_csv(rows, args.out)
-        return EXIT_OK
-    raise ConfigError(f"unknown local-time subcommand {args.lt_command!r}")
+    if args.n < 1:  # sample
+        raise ConfigError(f"sample requires --n >= 1, got {args.n}")
+    rng = np.random.default_rng(args.seed)
+    y, v = law.sample(rng, size=args.n)
+    rows = [{"y": float(yi), "v": float(vi)} for yi, vi in zip(y, v)]
+    _write_csv(rows, args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

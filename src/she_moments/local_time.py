@@ -67,27 +67,18 @@ class JointLocalTimeLaw:
 
     # -- densities -----------------------------------------------------
 
-    def density_cont(self, y, v):
-        """Continuous joint density at ``(y, v)``; requires ``v > 0``."""
-        if isinstance(y, (float, int)) and isinstance(v, (float, int)):
-            if v <= 0:
-                raise DomainError("density_cont requires v > 0; the v = 0 "
-                                  "atom is handled by atom_profile")
-            t = self.t
-            r = abs(self.a) + abs(y - self.a) + v
-            arg = r * r / (2.0 * t)
-            if arg > _EXP_UNDERFLOW:
-                return 0.0
-            return r / math.sqrt(2.0 * math.pi * t ** 3) * math.exp(-arg)
-        v_arr = np.asarray(v, dtype=float)
-        if np.any(v_arr <= 0):
-            raise DomainError("density_cont requires v > 0; the v = 0 atom "
-                              "is handled by atom_profile")
-        y = np.asarray(y, dtype=float)
+    def density_cont(self, y: float, v: float) -> float:
+        """Continuous joint density at the point ``(y, v)``; requires
+        ``v > 0``."""
+        if v <= 0:
+            raise DomainError("density_cont requires v > 0; the v = 0 "
+                              "atom is handled by atom_profile")
         t = self.t
-        r = abs(self.a) + np.abs(y - self.a) + v_arr
-        out = r / np.sqrt(2.0 * np.pi * t ** 3) * np.exp(-r * r / (2.0 * t))
-        return float(out) if out.ndim == 0 else out
+        r = abs(self.a) + abs(y - self.a) + v
+        arg = r * r / (2.0 * t)
+        if arg > _EXP_UNDERFLOW:
+            return 0.0
+        return r / math.sqrt(2.0 * math.pi * t ** 3) * math.exp(-arg)
 
     def atom_profile(self, y):
         """Defective density of ``B_t`` on the no-visit event ``{L_t^a = 0}``."""

@@ -154,6 +154,17 @@ class LebesgueScaled(InitialMeasure):
     def support_extent(self) -> float:
         return 0.0
 
+    # The constant density the quadrature routes read, as they read a
+    # DensityMeasure's fields; the closed forms read ``scale``.
+    def f(self, z):
+        return self.scale
+
+    @property
+    def certificate(self) -> GrowthCertificate:
+        return GrowthCertificate(abs(self.scale))
+
+    support = (-math.inf, math.inf)
+
 
 @dataclass(frozen=True)
 class DensityMeasure(InitialMeasure):
@@ -315,18 +326,6 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
 # Bilinear kernel integrals
 # ---------------------------------------------------------------------------
 
-def _density_view(mu: InitialMeasure):
-    """(density, growth certificate, support interval) of a non-atomic
-    primitive measure.  The density takes arrays, and floats for QUADPACK
-    callbacks."""
-    if isinstance(mu, LebesgueScaled):
-        c = mu.scale
-        return (lambda z: c), GrowthCertificate(abs(c)), (-math.inf, math.inf)
-    if isinstance(mu, DensityMeasure):
-        return mu.f, mu.certificate, mu.support
-    raise DomainError(f"measure {type(mu).__name__} has no density")
-
-
 def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
               kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     """Σ m1 m2 kernel(x1, x2) over all atom pairs, in one kernel call."""
@@ -372,14 +371,14 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
         return _bilinear_primitive(mu2, mu1, TwoPointQuery(q.t, q.x2, q.x1),
                                    params, abs_tol, rel_tol)
     point_kernel = two_point_kernel_at(q, params)
+    f2 = mu2.f
     if a1:
-        dens, _, support = _density_view(mu2)
-        return sum(m * _quad_pieces(lambda z: dens(z) * point_kernel(loc, z),
-                                    support, loc, abs_tol, rel_tol)
+        return sum(m * _quad_pieces(lambda z: f2(z) * point_kernel(loc, z),
+                                    mu2.support, loc, abs_tol, rel_tol)
                    for loc, m in mu1.atoms)
 
-    (f1, _, s1), (f2, _, s2) = _density_view(mu1), _density_view(mu2)
-    bar_range, sep_range = _pair_supports(s1, s2)
+    f1 = mu1.f
+    bar_range, sep_range = _pair_supports(mu1.support, mu2.support)
 
     def outer_integrand(zbar: float) -> float:
         def inner(dz: float) -> float:
@@ -512,7 +511,7 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
                            abs_tol, rel_tol)
     sc = _SplitKernelScales(q, params)
     if a1:
-        dens, cert, support = _density_view(mu2)
+        f2, cert = mu2.f, mu2.certificate
         total = err = 0.0
         for loc, m in mu1.atoms:
             # The density variable z: kink at z = loc, zbar Gaussian
@@ -522,22 +521,22 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
                 lambda r: sc.log_sep(r) + _log_growth([cert], abs(loc), r),
                 sc.s)
             w_bar = _gauss_reach(2.0 * sc.sigma, [cert], abs(centre))
-            edges = _graded_edges(support, ((loc, w_sep), (centre, w_bar)),
+            edges = _graded_edges(mu2.support, ((loc, w_sep), (centre, w_bar)),
                                   loc, sc.first, 2.0 * sc.s)
             if edges is None:
                 continue
-            val, e = integrate_panels(lambda z: dens(z) * kernel(loc, z),
+            val, e = integrate_panels(lambda z: f2(z) * kernel(loc, z),
                                       edges, abs_tol=abs_tol, rel_tol=rel_tol)
             total += m * val
             err += abs(m) * e
         return total, err
 
-    (f1, c1, s1), (f2, c2, s2) = _density_view(mu1), _density_view(mu2)
+    f1, f2, c1, c2 = mu1.f, mu2.f, mu1.certificate, mu2.certificate
     x0 = abs(q.x_bar)
     w_sep = _tail_radius(lambda r: sc.log_sep(r)
                          + _log_growth((c1, c2), x0, 0.5 * r), sc.s)
     w_bar = _gauss_reach(sc.sigma, (c1, c2), x0, 0.5 * w_sep)
-    bar_range, sep_range = _pair_supports(s1, s2)
+    bar_range, sep_range = _pair_supports(mu1.support, mu2.support)
     bar_edges = _graded_edges(bar_range, ((q.x_bar, w_bar),), q.x_bar,
                               3.0 * sc.sigma, 3.0 * sc.sigma)
     sep_edges = _graded_edges(sep_range, ((0.0, w_sep),), 0.0, sc.first,
@@ -615,11 +614,10 @@ def check_membership(mu: InitialMeasure, a_grid: Sequence[float]) -> list[dict]:
             elif isinstance(term, LebesgueScaled):
                 total += term.scale * math.sqrt(math.pi / a)
             else:
-                fn, _, (lo, hi) = _density_view(term)
                 try:
                     total += integrate_1d(
-                        lambda z: fn(z) * math.exp(-a * z * z),
-                        lo, hi, abs_tol=1e-10, rel_tol=1e-8)
+                        lambda z: term.f(z) * math.exp(-a * z * z),
+                        *term.support, abs_tol=1e-10, rel_tol=1e-8)
                 except Exception as exc:
                     raise InadmissibleMeasureError(
                         f"Gaussian-weighted mass diverges at a={a}") from exc

@@ -201,13 +201,8 @@ def _initial_field(grid: SpdeGrid, mu: InitialMeasure) -> np.ndarray:
         if isinstance(term, DiracAtoms):
             for loc, mass in term.atoms:
                 u[grid.index_of(loc)] += mass / grid.dx
-        elif isinstance(term, LebesgueScaled):
-            u += term.scale
-        elif isinstance(term, DensityMeasure):
-            u += np.asarray(term.f(grid.nodes), dtype=float)
         else:
-            raise ConfigError(f"measure {type(term).__name__} cannot be "
-                              "discretised on a grid")
+            u += np.asarray(term.f(grid.nodes), dtype=float)
     if grid.boundary == "dirichlet0":
         u[0] = u[-1] = 0.0
     return u
@@ -413,10 +408,7 @@ def _bounded_function(u0: InitialMeasure) -> Callable[[np.ndarray],
     """``u0`` as a function of position, for the Feynman-Kac engines: a
     constant (``LebesgueScaled``), or a density whose growth certificate
     bounds it.  Atoms, sums and growing envelopes are a ConfigError."""
-    if isinstance(u0, LebesgueScaled):
-        c = u0.scale
-        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    if isinstance(u0, DensityMeasure):
+    if isinstance(u0, (LebesgueScaled, DensityMeasure)):
         cert = u0.certificate
         if cert.degree == 0 and (cert.rate <= 0 or cert.power == 0):
             return u0.f

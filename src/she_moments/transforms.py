@@ -3,7 +3,7 @@
 The two-point kernel derivation rests on a short table of Laplace pairs
 (heat kernel, the time factor H, five partial-fraction pieces f1+/-, f2,
 f3+/-, and the first-passage density kernel) plus two time-convolution
-closed forms.  Each pair here carries both sides:
+closed forms.  Each pair is one row of ``_PAIRS`` holding both sides:
 
 * ``laplace_closed(case, z)``   -- the printed frequency-domain expression;
 * ``case.time_fn()``            -- the matching time-domain function.
@@ -12,15 +12,16 @@ Verification always runs time -> frequency (numeric forward Laplace
 transform against the closed form).  Numeric inversion is ill-posed and is
 deliberately not provided.
 
-The minus-branch cases and everything containing the factor
-``1 / (2 sqrt(nu z) - lam^2)`` have a simple pole at ``z = lam^4 / (4 nu)``;
-evaluation inside a small relative exclusion zone raises PoleError.
+The pairs whose time side grows like ``exp(lam^4 t / 4 nu)`` (the minus
+branches, and all with the factor ``1 / (2 sqrt(nu z) - lam^2)``) have a
+simple pole at ``z = lam^4 / (4 nu)``; evaluation inside a small relative
+exclusion zone raises PoleError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -39,14 +40,66 @@ __all__ = [
     "time_factor_transform_summands",
 ]
 
-CASE_NAMES = ("LapG", "LapH", "F1Plus", "F1Minus", "F2", "F3Plus", "F3Minus",
-              "LapGa", "ConvGH", "ConvGHtilde")
-
 _EXP_UNDERFLOW = 745.0
 _POLE_EXCLUSION = 1e-3
 
-_HAS_POLE = {"LapH", "F1Minus", "F3Minus", "ConvGH", "ConvGHtilde"}
-_GROWING = _HAS_POLE  # the same cases grow like exp(lam^4 t / 4 nu)
+
+class _Pair(NamedTuple):
+    time: Callable    # time(t, case, params)
+    closed: Callable  # closed(case, z, w, decay, lam2), printed (see _PAIRS)
+    grows: bool       # like exp(lam^4 t / 4 nu), so the transform has a pole
+
+
+def _printed_h(nu: float, lam2: float, z: float):
+    """L[H](z) as printed: three summands."""
+    lam4 = lam2 * lam2
+    w = np.sqrt(nu * z)
+    return (lam2 / (4.0 * nu * z - lam4) + 1.0 / (2.0 * w)
+            + lam4 / (2.0 * w * (4.0 * nu * z - lam4)))
+
+
+def _first_passage_kernel(t: float, case: TransformCase, _params) -> float:
+    """|a| t^{-3/2} exp(-a^2 / 2t), the first-passage density kernel."""
+    a = case.a
+    expo = a * a / (2.0 * t)
+    return 0.0 if expo > _EXP_UNDERFLOW else abs(a) * t ** -1.5 * np.exp(-expo)
+
+
+# One row per pair; ``closed`` gets w = sqrt(nu z) and
+# decay = exp(-|x| sqrt(z / nu)) from laplace_closed.
+_PAIRS = {
+    "LapG": _Pair(lambda t, c, p: heat_kernel(t, c.x, 2.0 * c.nu),
+                  lambda c, z, w, decay, lam2: decay / (2.0 * w), False),
+    "LapH": _Pair(lambda t, c, p: second_moment_time_factor(t, p),
+                  lambda c, z, w, decay, lam2: _printed_h(c.nu, lam2, z),
+                  True),
+    "F1Plus": _Pair(lambda t, c, p: inverse_transform_f1(t, c.x, +1, p),
+                    lambda c, z, w, decay, lam2:
+                    decay / (4.0 * w * (2.0 * w + lam2)), False),
+    "F1Minus": _Pair(lambda t, c, p: inverse_transform_f1(t, c.x, -1, p),
+                     lambda c, z, w, decay, lam2:
+                     decay / (4.0 * w * (2.0 * w - lam2)), True),
+    "F2": _Pair(lambda t, c, p: inverse_transform_f2(t, c.x, p),
+                lambda c, z, w, decay, lam2: decay / (4.0 * c.nu * z), False),
+    "F3Plus": _Pair(lambda t, c, p: inverse_transform_f3(t, c.x, +1, p),
+                    lambda c, z, w, decay, lam2:
+                    lam2 * decay / (8.0 * c.nu * z * (2.0 * w + lam2)), False),
+    "F3Minus": _Pair(lambda t, c, p: inverse_transform_f3(t, c.x, -1, p),
+                     lambda c, z, w, decay, lam2:
+                     lam2 * decay / (8.0 * c.nu * z * (2.0 * w - lam2)), True),
+    "LapGa": _Pair(_first_passage_kernel,
+                   lambda c, z, w, decay, lam2: np.sqrt(2.0 * np.pi)
+                   * np.exp(-np.sqrt(2.0) * abs(c.a) * np.sqrt(z)), False),
+    "ConvGH": _Pair(lambda t, c, p: conv_heat_time_factor(t, c.x, p),
+                    lambda c, z, w, decay, lam2:
+                    decay / (2.0 * w) * _printed_h(c.nu, lam2, z), True),
+    "ConvGHtilde": _Pair(
+        lambda t, c, p: conv_heat_offset_factor(t, c.x, c.x2, p),
+        lambda c, z, w, decay, lam2:
+        np.exp(-(abs(c.x) + abs(c.x2)) * np.sqrt(z / c.nu))
+        / (2.0 * w * (2.0 * w - lam2)), True),
+}
+CASE_NAMES = tuple(_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -62,7 +115,7 @@ class TransformCase:
     a: float = 0.0
 
     def __post_init__(self):
-        if self.name not in CASE_NAMES:
+        if self.name not in _PAIRS:
             raise DomainError(f"unknown transform case {self.name!r}")
         if self.nu <= 0:
             raise DomainError("TransformCase requires nu > 0")
@@ -73,88 +126,26 @@ class TransformCase:
 
     def growth_rate(self) -> float:
         """Exponential growth bound of the time-domain partner."""
-        if self.name in _GROWING:
-            return self.lam ** 4 / (4.0 * self.nu)
-        return 0.0
+        return self.lam ** 4 / (4.0 * self.nu) if _PAIRS[self.name].grows else 0.0
 
     def time_fn(self) -> Callable[[float], float]:
-        nu, lam, x, x2, a = self.nu, self.lam, self.x, self.x2, self.a
-        params = self.params
-        if self.name == "LapG":
-            return lambda t: heat_kernel(t, x, 2.0 * nu)
-        if self.name == "LapH":
-            return lambda t: second_moment_time_factor(t, params)
-        if self.name == "F1Plus":
-            return lambda t: inverse_transform_f1(t, x, +1, params)
-        if self.name == "F1Minus":
-            return lambda t: inverse_transform_f1(t, x, -1, params)
-        if self.name == "F2":
-            return lambda t: inverse_transform_f2(t, x, params)
-        if self.name == "F3Plus":
-            return lambda t: inverse_transform_f3(t, x, +1, params)
-        if self.name == "F3Minus":
-            return lambda t: inverse_transform_f3(t, x, -1, params)
-        if self.name == "LapGa":
-            def g_a(t: float) -> float:
-                expo = a * a / (2.0 * t)
-                if expo > _EXP_UNDERFLOW:
-                    return 0.0
-                return abs(a) * t ** -1.5 * np.exp(-expo)
-            return g_a
-        if self.name == "ConvGH":
-            return lambda t: conv_heat_time_factor(t, x, params)
-        if self.name == "ConvGHtilde":
-            return lambda t: conv_heat_offset_factor(t, x, x2, params)
-        raise DomainError(self.name)
-
-
-def _check_pole(case: TransformCase, z: float) -> None:
-    lam2 = case.lam ** 2
-    if case.name in _HAS_POLE and lam2 > 0:
-        if abs(2.0 * np.sqrt(case.nu * z) - lam2) < _POLE_EXCLUSION * lam2:
-            raise PoleError(
-                f"{case.name} has a pole at z = lam^4 / (4 nu) = "
-                f"{case.lam ** 4 / (4 * case.nu):.6g}; z = {z} is inside the "
-                f"exclusion zone")
+        time, params = _PAIRS[self.name].time, self.params
+        return lambda t: time(t, self, params)
 
 
 def laplace_closed(case: TransformCase, z: float) -> float:
     """The printed frequency-domain expression of ``case`` at ``z > 0``."""
     if not (z > 0):
         raise DomainError(f"laplace_closed requires z > 0, got {z}")
-    _check_pole(case, z)
-    nu, lam, x = case.nu, case.lam, case.x
-    lam2 = lam * lam
-    w = np.sqrt(nu * z)
-    decay = np.exp(-abs(x) * np.sqrt(z / nu))
-    if case.name == "LapG":
-        return float(decay / (2.0 * w))
-    if case.name == "LapH":
-        lam4 = lam2 * lam2
-        return float(lam2 / (4.0 * nu * z - lam4) + 1.0 / (2.0 * w)
-                     + lam4 / (2.0 * w * (4.0 * nu * z - lam4)))
-    if case.name == "F1Plus":
-        return float(decay / (4.0 * w * (2.0 * w + lam2)))
-    if case.name == "F1Minus":
-        return float(decay / (4.0 * w * (2.0 * w - lam2)))
-    if case.name == "F2":
-        return float(decay / (4.0 * nu * z))
-    if case.name == "F3Plus":
-        return float(lam2 * decay / (8.0 * nu * z * (2.0 * w + lam2)))
-    if case.name == "F3Minus":
-        return float(lam2 * decay / (8.0 * nu * z * (2.0 * w - lam2)))
-    if case.name == "LapGa":
-        return float(np.sqrt(2.0 * np.pi) * np.exp(-np.sqrt(2.0) * abs(case.a)
-                                                   * np.sqrt(z)))
-    if case.name == "ConvGH":
-        g = laplace_closed(TransformCase("LapG", nu=nu, x=x), z)
-        h = laplace_closed(TransformCase("LapH", nu=nu, lam=lam), z)
-        return g * h
-    if case.name == "ConvGHtilde":
-        dist = abs(x) + abs(case.x2)
-        return float(np.exp(-dist * np.sqrt(z / nu))
-                     / (2.0 * w * (2.0 * w - lam2)))
-    raise DomainError(case.name)
+    pair = _PAIRS[case.name]
+    lam2 = case.lam * case.lam
+    w = np.sqrt(case.nu * z)
+    if pair.grows and lam2 > 0 and abs(2.0 * w - lam2) < _POLE_EXCLUSION * lam2:
+        raise PoleError(
+            f"{case.name} has a pole at z = lam^4 / (4 nu) = "
+            f"{case.growth_rate():.6g}; z = {z} is inside the exclusion zone")
+    decay = np.exp(-abs(case.x) * np.sqrt(z / case.nu))
+    return float(pair.closed(case, z, w, decay, lam2))
 
 
 def time_factor_transform_summands(nu: float, lam: float, z: float):
@@ -162,13 +153,10 @@ def time_factor_transform_summands(nu: float, lam: float, z: float):
     recomposition; returns ``(printed_sum, recomposed)``.  They must agree
     to machine precision."""
     lam2 = lam * lam
-    lam4 = lam2 * lam2
     w = np.sqrt(nu * z)
-    printed = (lam2 / (4.0 * nu * z - lam4) + 1.0 / (2.0 * w)
-               + lam4 / (2.0 * w * (4.0 * nu * z - lam4)))
     diff = 1.0 / (2.0 * w - lam2) - 1.0 / (2.0 * w + lam2)
     recomposed = 0.5 * diff + 1.0 / (2.0 * w) + lam2 / (4.0 * w) * diff
-    return float(printed), float(recomposed)
+    return float(_printed_h(nu, lam2, z)), float(recomposed)
 
 
 def laplace_numeric(time_fn: Callable[[float], float], z: float,
@@ -259,8 +247,6 @@ def conv_heat_offset_factor(t: float, dx: float, dz: float,
     """Closed form of ``∫_0^t G_{2 nu}(t - r, dx) Ht(r, dz) dr``: the same
     expression as :func:`conv_heat_time_factor` with ``|dx| + |dz|`` in
     place of ``|dz|``.  Defined for ``lam != 0``."""
-    if params.lam == 0:
-        raise DomainError("conv_heat_offset_factor requires lam != 0")
     return conv_heat_time_factor(t, abs(dx) + abs(dz), params)
 
 
