@@ -120,6 +120,10 @@ def _manifest(command: str, config_echo: dict, seed: int | None) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_kernel(args) -> int:
+    # Every grid is parsed, whichever kernel reads it: a malformed grid is
+    # exit 2 for every --which.
+    xs, z1s, z2s, ys = (_parse_grid(g)
+                        for g in (args.x, args.z1, args.z2, args.y))
     params = KernelParams(nu=args.nu, lam=args.lam)
     t = args.t
     rows: list[dict] = []
@@ -129,14 +133,14 @@ def _cmd_kernel(args) -> int:
     elif args.which in ("K", "Htilde"):
         fn = (second_moment_kernel if args.which == "K"
               else two_point_time_factor)
-        for x in _parse_grid(args.x):
+        for x in xs:
             rows.append(dict(base, x=float(x),
                              value=float(fn(t, float(x), params))))
     else:
         kern = covariance_kernel if args.which == "Kdagger" else two_point_kernel
-        for z1 in _parse_grid(args.z1):
-            for z2 in _parse_grid(args.z2):
-                for y in _parse_grid(args.y):
+        for z1 in z1s:
+            for z2 in z2s:
+                for y in ys:
                     rows.append(dict(base, z1=float(z1), z2=float(z2),
                                      y=float(y),
                                      value=float(kern(t, float(z1), float(z2),

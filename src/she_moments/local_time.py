@@ -39,7 +39,7 @@ from scipy import special
 
 from .errors import DomainError
 from .gaussian import normal_cdf
-from .quadrature import integrate_1d
+from .quadrature import integrate_1d, integrate_split
 
 __all__ = ["JointLocalTimeLaw", "first_passage_convolution",
            "first_passage_rhs_printed"]
@@ -115,7 +115,8 @@ class JointLocalTimeLaw:
         """P(y_lo < B_t <= y_hi, v_lo < L_t^a <= v_hi) for ``v_lo >= 0``.
 
         Continuous part only (the atom is a separate component).  The inner
-        v-integral is exact; the y-integral is adaptive quadrature.
+        v-integral is exact; the y-integral is adaptive quadrature, split at
+        the kink y = a.
         """
         if v_lo < 0:
             raise DomainError("cell_probability requires v_lo >= 0")
@@ -130,8 +131,8 @@ class JointLocalTimeLaw:
                 upper -= np.exp(-hi) if hi < _EXP_UNDERFLOW else 0.0
             return upper / np.sqrt(2.0 * np.pi * t)
 
-        return integrate_1d(y_integrand, y_lo, y_hi,
-                            abs_tol=1e-12, rel_tol=1e-10)
+        return integrate_split(y_integrand, y_lo, y_hi, a,
+                               abs_tol=1e-12, rel_tol=1e-10)
 
     # -- sampling --------------------------------------------------------
 

@@ -59,7 +59,7 @@ from .errors import (DomainError, InadmissibleMeasureError, QuadratureError,
 from .gaussian import heat_kernel
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       require_finite, two_point_kernel, two_point_kernel_at)
-from .quadrature import integrate_1d, integrate_panels
+from .quadrature import integrate_1d, integrate_panels, integrate_split
 
 __all__ = [
     "GrowthCertificate", "InitialMeasure", "DiracAtoms", "LebesgueScaled",
@@ -342,15 +342,6 @@ def _pair_supports(s1: tuple[float, float], s2: tuple[float, float]):
             (s2[0] - s1[1], s2[1] - s1[0]))
 
 
-def _quad_pieces(f: Callable[[float], float], support: tuple[float, float],
-                 brk: float, abs_tol: float, rel_tol: float) -> float:
-    """∫ f over the support by QUADPACK, split at ``brk`` if it is inside."""
-    lo, hi = support
-    cuts = (lo, brk, hi) if lo < brk < hi else (lo, hi)
-    return sum(integrate_1d(f, a, b, abs_tol=abs_tol, rel_tol=rel_tol)
-               for a, b in zip(cuts[:-1], cuts[1:]))
-
-
 def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
                         q: TwoPointQuery, params: KernelParams,
                         abs_tol: float, rel_tol: float) -> float:
@@ -373,8 +364,8 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
     point_kernel = two_point_kernel_at(q, params)
     f2 = mu2.f
     if a1:
-        return sum(m * _quad_pieces(lambda z: f2(z) * point_kernel(loc, z),
-                                    mu2.support, loc, abs_tol, rel_tol)
+        return sum(m * integrate_split(lambda z: f2(z) * point_kernel(loc, z),
+                                       *mu2.support, loc, abs_tol, rel_tol)
                    for loc, m in mu1.atoms)
 
     f1 = mu1.f
@@ -385,9 +376,11 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
             z1 = zbar - 0.5 * dz
             z2 = zbar + 0.5 * dz
             return f1(z1) * f2(z2) * point_kernel(z1, z2)
-        return _quad_pieces(inner, sep_range, 0.0, abs_tol / 10, rel_tol / 10)
+        return integrate_split(inner, *sep_range, 0.0, abs_tol / 10,
+                               rel_tol / 10)
 
-    return _quad_pieces(outer_integrand, bar_range, q.x_bar, abs_tol, rel_tol)
+    return integrate_split(outer_integrand, *bar_range, q.x_bar, abs_tol,
+                           rel_tol)
 
 
 # Panel windows drop what lies beyond e^-_TAIL (~4e-18) of a factor's peak.

@@ -8,7 +8,7 @@ estimate instead of returning a number they cannot vouch for.
   with the standard rational map for infinite tails), called with a scalar
   Python integrand.  Every integrand in this package is Gaussian-dominated
   or exponentially decaying, which is exactly the regime it converges fast
-  in.
+  in.  :func:`integrate_split` calls it on each side of a kink.
 * :func:`integrate_panels` is a fixed-order tensor Gauss-Legendre rule on
   caller-chosen panels, called once per block of nodes with a vectorised
   integrand.  It fits integrands that are smooth inside each panel, with
@@ -67,6 +67,16 @@ def integrate_1d(f: Callable[[float], float], a: float, b: float,
         raise QuadratureError(f"quadrature returned non-finite value on [{a}, {b}]",
                               achieved=err, requested=abs_tol)
     return val
+
+
+def integrate_split(f: Callable[[float], float], a: float, b: float,
+                    brk: float, abs_tol: float = ABS_TOL,
+                    rel_tol: float = REL_TOL) -> float:
+    """:func:`integrate_1d` over ``[a, b]`` in two pieces when ``brk`` lies
+    inside, so that a kink of ``f`` at ``brk`` falls on a piece edge."""
+    cuts = (a, brk, b) if a < brk < b else (a, b)
+    return sum(integrate_1d(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -435,8 +435,7 @@ def fk_two_point(q: TwoPointQuery, u0: InitialMeasure, nu: float,
     rate = lam * lam / (2.0 * nu)
 
     def task(lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        u = uniforms_at(mc.seed, DOMAIN_FK, idx, 5)
+        u = uniforms_at(mc.seed, DOMAIN_FK, lo, hi, 5)
         y, v = law.sample_from_uniforms(u[:, :4])
         w2 = scale * special.ndtri(u[:, 4])
         vals = (np.asarray(f(q.x1 + 0.5 * (w2 + y)), dtype=float)

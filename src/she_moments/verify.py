@@ -33,7 +33,7 @@ from .local_time import (JointLocalTimeLaw, first_passage_convolution,
                          first_passage_rhs_printed)
 from .measures import (DiracAtoms, LebesgueScaled, gaussian_density,
                        second_moment, two_point)
-from .quadrature import integrate_1d
+from .quadrature import integrate_1d, integrate_split
 from .transforms import (CASE_NAMES, TransformCase, conv_heat_offset_factor,
                          conv_heat_offset_factor_quad, conv_heat_time_factor,
                          conv_heat_time_factor_quad, laplace_closed,
@@ -305,9 +305,9 @@ def suite_local_time() -> list[dict]:
     for t, a in ((1.0, 1.0), (0.5, -0.7), (2.0, 0.0)):
         law = JointLocalTimeLaw(t=t, a=a)
         for v in (0.1, 0.5, 1.5):
-            marg = integrate_1d(lambda y: law.density_cont(y, v),
-                                -np.inf, np.inf,
-                                abs_tol=1e-12, rel_tol=1e-10)
+            marg = integrate_split(lambda y: law.density_cont(y, v),
+                                   -np.inf, np.inf, a,
+                                   abs_tol=1e-12, rel_tol=1e-10)
             dens, _ = law.marginal_local_time(v)
             worst = max(worst, abs(marg - dens))
     checks.append(_check("local_time/marginal_local_time", worst, 1e-8))
@@ -331,8 +331,8 @@ def suite_local_time() -> list[dict]:
             return integrate_1d(tilted, 0.0, np.inf,
                                 abs_tol=1e-13, rel_tol=1e-11)
 
-        cont = integrate_1d(y_integrand, -np.inf, np.inf,
-                            abs_tol=1e-11, rel_tol=1e-9)
+        cont = integrate_split(y_integrand, -np.inf, np.inf, a,
+                               abs_tol=1e-11, rel_tol=1e-9)
         total = cont + _atom_mass_quad(law)
         worst = max(worst, _rel(total, mgf_local_time(t, a, lam)))
     checks.append(_check("local_time/mgf_consistency", worst, 1e-7))

@@ -487,6 +487,16 @@ class TestNonFiniteGrids:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("which", ["H", "K", "Htilde", "Kdagger",
+                                       "Kstar"])
+    @pytest.mark.parametrize("flag", ["--x", "--z1", "--z2", "--y"])
+    def test_kernel_grid_exit_2_for_every_which(self, capsys, which, flag):
+        # A grid the chosen kernel does not read is still parsed.
+        code, out, _ = run_cli(capsys, "kernel", "--which", which, "--t",
+                               "1", flag, "1:2")
+        assert code == 2
+        assert out == ""
+
     @pytest.mark.parametrize("flag", ["--y", "--v"])
     def test_local_time_density_grid_exit_2(self, capsys, flag):
         argv = ["local-time", "density", "--t", "1", "--a", "0",

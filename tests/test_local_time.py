@@ -92,6 +92,14 @@ class TestMarginals:
             atom = integrate_1d(lambda y: law.atom_profile(y), lo, hi)
             assert cont + atom == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("a", [-2.0, -0.5, 0.0, 1.0, 3.0])
+    def test_continuous_mass_is_one_minus_atom_mass(self, t, a):
+        # verify's 15 (t, a) pairs; the y-integral is split at the kink a.
+        law = JointLocalTimeLaw(t=t, a=a)
+        cont = law.cell_probability(-np.inf, np.inf, 0.0, np.inf)
+        assert abs(cont - (1.0 - law.atom_mass)) <= 1e-15
+
     @pytest.mark.parametrize("t,a,box", [
         (1.0, 0.5, (-0.5, 1.5, 0.2, 0.9)),
         (0.7, -1.2, (-3.0, -1.0, 0.0, 0.4)),

@@ -2,84 +2,105 @@ import numpy as np
 import pytest
 
 from she_moments.rng import (DOMAIN_FK, DOMAIN_SPDE, path_generator, path_key,
-                             philox4x64, uniforms_at)
+                             uniforms_at)
+
+MAX64 = 2**64 - 1
 
 
-class TestPhiloxBlock:
-    @pytest.mark.parametrize("key", [(0, 0), (123, 456),
-                                     (0xDEADBEEF, 0xFFFFFFFFFFFFFFFF)])
-    def test_matches_numpy_keystream(self, key):
-        bg = np.random.Philox(key=np.array(key, dtype=np.uint64))
-        raw = bg.random_raw(12)
-        for block in range(3):
-            counter = np.array([[block + 1, 0, 0, 0]], dtype=np.uint64)
-            key_arr = np.array([key], dtype=np.uint64)
-            words = philox4x64(counter, key_arr)[0]
-            assert np.array_equal(words, raw[4 * block:4 * block + 4])
+def _counter_before(i: int, j: int) -> np.ndarray:
+    """The 4-word counter one step before (i, j, 0, 0), borrowing across
+    words: numpy's Philox steps its counter before each block."""
+    words = [i, j, 0, 0]
+    for k in range(4):
+        if words[k]:
+            words[k] -= 1
+            break
+        words[k] = MAX64
+    return np.array(words, dtype=np.uint64)
 
-    def test_random_keys_match_numpy_keystream(self):
-        rng = np.random.default_rng(20261018)
-        keys = rng.integers(0, 2**64, size=(256, 2), dtype=np.uint64)
-        counters = np.zeros((4, 4), dtype=np.uint64)
-        counters[:, 0] = np.arange(1, 5, dtype=np.uint64)
-        for key in keys:
-            raw = np.random.Philox(key=key).random_raw(16).reshape(4, 4)
-            assert np.array_equal(philox4x64(counters, key[None, :]), raw)
 
-    def test_counter_low_word_carry(self):
-        # numpy's counter increments from (2**64 - 1, 0, 0, 0) to
-        # (0, 1, 0, 0): the low word wraps and carries into the next word.
-        key = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210],
-                       dtype=np.uint64)
-        bg = np.random.Philox(counter=np.array([2**64 - 2, 0, 0, 0],
-                                               dtype=np.uint64), key=key)
-        raw = bg.random_raw(8)
-        counters = np.array([[2**64 - 1, 0, 0, 0], [0, 1, 0, 0]],
-                            dtype=np.uint64)
-        assert np.array_equal(philox4x64(counters, key).ravel(), raw)
+def _reference(seed, domain, lo, hi, n_uniforms):
+    """Path by path, block by block: block j of path i is numpy's Philox
+    block at counter (i, j, 0, 0) under the domain's key."""
+    key = path_key(seed, domain, 0)
+    n_blocks = (n_uniforms + 3) // 4
+    rows = []
+    for i in range(lo, hi):
+        words = np.concatenate([
+            np.random.Philox(key=key, counter=_counter_before(i, j))
+            .random_raw(4) for j in range(n_blocks)])
+        rows.append(((words >> np.uint64(11)).astype(float) + 0.5)
+                    * 2.0 ** -53)
+    return np.array(rows, dtype=float).reshape(hi - lo, 4 * n_blocks)[
+        :, :n_uniforms]
 
-    def test_broadcast_key(self):
-        key = np.array([77, 88], dtype=np.uint64)
-        counters = np.array([[k, 3 * k, 0, 2**63 + k] for k in range(6)],
-                            dtype=np.uint64)
-        batch = philox4x64(counters, key)
-        assert batch.shape == (6, 4)
-        tiled = philox4x64(counters, np.tile(key, (6, 1)))
-        assert np.array_equal(batch, tiled)
-        for i in range(6):
-            assert np.array_equal(batch[i],
-                                  philox4x64(counters[i], key))
 
-    def test_vectorised_consistency(self):
-        keys = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.uint64)
-        counters = np.tile(np.array([7, 0, 0, 0], dtype=np.uint64), (3, 1))
-        batch = philox4x64(counters, keys)
-        for i in range(3):
-            single = philox4x64(counters[i:i + 1], keys[i:i + 1])[0]
-            assert np.array_equal(batch[i], single)
+class TestKeystream:
+    @pytest.mark.parametrize("lo,hi", [(0, 5), (1, 4), (2**40 - 2, 2**40 + 3),
+                                       (MAX64 - 3, MAX64)],
+                             ids=["lo0", "lo1", "near2_40", "top"])
+    @pytest.mark.parametrize("n_uniforms", [1, 4, 5, 9, 12])
+    def test_known_answer(self, lo, hi, n_uniforms):
+        # n_uniforms 9 and 12 reach blocks 0-2; lo = 0 makes numpy's
+        # starting counter wrap to 2**256 - 1 for block 0.
+        got = uniforms_at(11, DOMAIN_FK, lo, hi, n_uniforms)
+        assert got.shape == (hi - lo, n_uniforms)
+        assert np.array_equal(got, _reference(11, DOMAIN_FK, lo, hi,
+                                              n_uniforms))
+
+    def test_known_answer_random_seeds_and_ranges(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            seed = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
+            base = int(rng.choice([0, 2**40 - 8, 2**62]))
+            lo = base + int(rng.integers(0, 16))
+            hi = lo + int(rng.integers(0, 24))
+            n = int(rng.integers(1, 13))
+            domain = DOMAIN_FK if rng.random() < 0.5 else DOMAIN_SPDE
+            assert np.array_equal(uniforms_at(seed, domain, lo, hi, n),
+                                  _reference(seed, domain, lo, hi, n))
+
+    def test_prefix_property(self):
+        short = uniforms_at(5, DOMAIN_FK, 0, 1000, 4)
+        long = uniforms_at(5, DOMAIN_FK, 0, 1000, 9)
+        assert np.array_equal(long[:, :4], short)
+
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (17, 56), (99, 100)])
+    def test_sub_range_is_rows_of_full_range(self, lo, hi):
+        full = uniforms_at(7, DOMAIN_FK, 0, 100, 8)
+        assert np.array_equal(uniforms_at(7, DOMAIN_FK, lo, hi, 8),
+                              full[lo:hi])
+
+    def test_seed_and_domain_separation(self):
+        base = uniforms_at(1, DOMAIN_FK, 0, 64, 8)
+        for other in (uniforms_at(2, DOMAIN_FK, 0, 64, 8),
+                      uniforms_at(1, DOMAIN_SPDE, 0, 64, 8)):
+            # No uniform of one stream recurs anywhere in the other.
+            assert not np.isin(other, base).any()
 
 
 class TestPathStreams:
     def test_uniforms_in_open_interval(self):
-        u = uniforms_at(42, DOMAIN_FK, np.arange(10_000), 5)
+        u = uniforms_at(42, DOMAIN_FK, 0, 10_000, 5)
         assert u.shape == (10_000, 5)
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
     def test_random_access_is_stateless(self):
-        full = uniforms_at(7, DOMAIN_FK, np.arange(100), 8)
-        subset = uniforms_at(7, DOMAIN_FK, np.array([3, 17, 56]), 8)
-        assert np.array_equal(subset, full[[3, 17, 56]])
+        full = uniforms_at(7, DOMAIN_FK, 0, 100, 8)
+        for i in (3, 17, 56):
+            assert np.array_equal(uniforms_at(7, DOMAIN_FK, i, i + 1, 8)[0],
+                                  full[i])
 
     def test_streams_differ_across_paths_and_seeds(self):
-        a = uniforms_at(1, DOMAIN_FK, np.array([0]), 4)
-        b = uniforms_at(1, DOMAIN_FK, np.array([1]), 4)
-        c = uniforms_at(2, DOMAIN_FK, np.array([0]), 4)
+        a = uniforms_at(1, DOMAIN_FK, 0, 1, 4)
+        b = uniforms_at(1, DOMAIN_FK, 1, 2, 4)
+        c = uniforms_at(2, DOMAIN_FK, 0, 1, 4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_domains_are_independent(self):
-        a = uniforms_at(1, DOMAIN_FK, np.array([0]), 4)
-        b = uniforms_at(1, DOMAIN_SPDE, np.array([0]), 4)
+        a = uniforms_at(1, DOMAIN_FK, 0, 1, 4)
+        b = uniforms_at(1, DOMAIN_SPDE, 0, 1, 4)
         assert not np.array_equal(a, b)
 
     def test_path_generator_reproducible(self):
@@ -93,6 +114,6 @@ class TestPathStreams:
         assert keys.dtype == np.uint64
 
     def test_uniform_moments(self):
-        u = uniforms_at(3, DOMAIN_SPDE, np.arange(50_000), 4).ravel()
+        u = uniforms_at(3, DOMAIN_SPDE, 0, 50_000, 4).ravel()
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.002

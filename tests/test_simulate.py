@@ -241,6 +241,16 @@ class TestFkEngine:
         assert base.value == other.value
         assert base.std_error == other.std_error
 
+    def test_identical_for_any_worker_count_and_batch_split(self):
+        # 20,000 paths in batches of 333 and 7,000 leave short last batches
+        # (20 and 6,000 paths).
+        q = TwoPointQuery(t=0.7, x1=-0.2, x2=0.5)
+        estimates = {fk_two_point(q, LebesgueScaled(1.0), 1.0, 1.0,
+                                  McConfig(n_paths=20_000, seed=8,
+                                           batch_size=batch, workers=workers))
+                     for workers in (1, 2, 4) for batch in (333, 7_000, 20_000)}
+        assert len(estimates) == 1
+
     def test_estimate_fields(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
         est = fk_two_point(q, LebesgueScaled(1.0), 1.0, 1.0,
