@@ -88,7 +88,15 @@ def _write_csv(rows: list[dict], path: str | None) -> None:
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
-    data = buf.getvalue()
+    _write(buf.getvalue(), path)
+
+
+def _write_json(obj, path: str | None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+
+
+def _write(data: str, path: str | None) -> None:
+    """``data`` as it is to the file ``path`` (``--out``), or to stdout."""
     if path:
         with open(path, "w", newline="") as fh:
             fh.write(data)
@@ -96,13 +104,10 @@ def _write_csv(rows: list[dict], path: str | None) -> None:
         sys.stdout.write(data)
 
 
-def _write_json(obj, path: str | None) -> None:
-    data = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
+def _read_json(path: str):
+    """The JSON document in the UTF-8 file ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _manifest(command: str, config_echo: dict, seed: int | None) -> dict:
@@ -163,15 +168,10 @@ def _closed_two_point(q: TwoPointQuery, mu, params: KernelParams) -> float:
     return two_point(q, mu, params, formula="split")
 
 
-def _load_measure(path: str):
-    with open(path) as fh:
-        return parse_measure(json.load(fh))
-
-
 def _cmd_two_point(args) -> int:
     """``two-point``, and ``second-moment`` as its diagonal x1 = x2 = x
     (reported in one ``x`` column)."""
-    mu = _load_measure(args.measure)
+    mu = parse_measure(_read_json(args.measure))
     params = KernelParams(nu=args.nu, lam=args.lam)
     if args.command == "second-moment":
         points = {"x": args.x}
@@ -308,8 +308,7 @@ def _simulation(engine: str, config: dict, overrides: dict):
 
 def _cmd_simulate(args) -> int:
     if args.from_manifest:
-        with open(args.from_manifest) as fh:
-            previous = json.load(fh)
+        previous = _read_json(args.from_manifest)
         if not isinstance(previous, dict):
             raise ConfigError(f"a run file must be an object, got {previous!r}")
         manifest = _section(previous, "manifest")
@@ -318,8 +317,7 @@ def _cmd_simulate(args) -> int:
     else:
         if not args.config:
             raise ConfigError("either --config or --from-manifest is required")
-        with open(args.config) as fh:
-            config = json.load(fh)
+        config = _read_json(args.config)
         engine = args.engine
         seed = args.seed
     overrides = {"seed": seed, "n_paths": args.paths, "workers": args.workers}
@@ -357,24 +355,19 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_local_time(args) -> int:
     if args.lt_command == "mgf":
-        value = mgf_local_time(args.t, args.a, args.lam)
-        _write_csv([{"t": args.t, "a": args.a, "lambda": args.lam,
-                     "value": value}], args.out)
-        return EXIT_OK
-    law = JointLocalTimeLaw(t=args.t, a=args.a)
-    if args.lt_command == "density":
-        rows = []
-        for y in _parse_grid(args.y):
-            for v in _parse_grid(args.v):
-                rows.append({"y": float(y), "v": float(v),
-                             "f": law.density_cont(float(y), float(v))})
-        _write_csv(rows, args.out)
-        return EXIT_OK
-    if args.n < 1:  # sample
-        raise ConfigError(f"sample requires --n >= 1, got {args.n}")
-    rng = np.random.default_rng(args.seed)
-    y, v = law.sample(rng, size=args.n)
-    rows = [{"y": float(yi), "v": float(vi)} for yi, vi in zip(y, v)]
+        rows = [{"t": args.t, "a": args.a, "lambda": args.lam,
+                 "value": mgf_local_time(args.t, args.a, args.lam)}]
+    else:
+        law = JointLocalTimeLaw(t=args.t, a=args.a)
+        if args.lt_command == "density":
+            rows = [{"y": float(y), "v": float(v),
+                     "f": law.density_cont(float(y), float(v))}
+                    for y in _parse_grid(args.y) for v in _parse_grid(args.v)]
+        else:
+            if args.n < 1:
+                raise ConfigError(f"sample requires --n >= 1, got {args.n}")
+            y, v = law.sample(np.random.default_rng(args.seed), size=args.n)
+            rows = [{"y": float(yi), "v": float(vi)} for yi, vi in zip(y, v)]
     _write_csv(rows, args.out)
     return EXIT_OK
 
@@ -408,30 +401,20 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--out")
     k.set_defaults(func=_cmd_kernel)
 
-    tp = sub.add_parser("two-point", help="two-point correlation for a "
-                                          "measure file")
-    tp.add_argument("--measure", required=True)
-    tp.add_argument("--t", type=float, required=True)
-    tp.add_argument("--x1", type=float, required=True)
-    tp.add_argument("--x2", type=float, required=True)
-    tp.add_argument("--nu", type=float, default=1.0)
-    tp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    tp.add_argument("--method", choices=["closed", "quadrature", "both"],
-                    default="closed")
-    tp.add_argument("--out")
-    tp.set_defaults(func=_cmd_two_point)
-
-    smp = sub.add_parser("second-moment", help="second moment for a "
-                                               "measure file")
-    smp.add_argument("--measure", required=True)
-    smp.add_argument("--t", type=float, required=True)
-    smp.add_argument("--x", type=float, required=True)
-    smp.add_argument("--nu", type=float, default=1.0)
-    smp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    smp.add_argument("--method", choices=["closed", "quadrature", "both"],
-                     default="closed")
-    smp.add_argument("--out")
-    smp.set_defaults(func=_cmd_two_point)
+    for name, what, points in (("two-point", "two-point correlation",
+                                ("--x1", "--x2")),
+                               ("second-moment", "second moment", ("--x",))):
+        tp = sub.add_parser(name, help=f"{what} for a measure file")
+        tp.add_argument("--measure", required=True)
+        tp.add_argument("--t", type=float, required=True)
+        for flag in points:
+            tp.add_argument(flag, type=float, required=True)
+        tp.add_argument("--nu", type=float, default=1.0)
+        tp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+        tp.add_argument("--method", choices=["closed", "quadrature", "both"],
+                        default="closed")
+        tp.add_argument("--out")
+        tp.set_defaults(func=_cmd_two_point)
 
     v = sub.add_parser("verify", help="run a deterministic verification suite")
     v.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
@@ -508,7 +491,10 @@ def main(argv=None) -> int:
     except InadmissibleMeasureError as exc:
         print(f"inadmissible measure: {exc}", file=sys.stderr)
         return EXIT_MEASURE
-    except (ConfigError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    # OSError: an --out, --measure, --config or --from-manifest path that
+    # cannot be opened; MemoryError: a grid, --n or --paths too large.
+    except (ConfigError, KeyError, OSError, UnicodeDecodeError, MemoryError,
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, PoleError, KernelOverflowError,

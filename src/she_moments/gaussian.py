@@ -31,6 +31,9 @@ from .errors import DomainError, KernelOverflowError
 from .quadrature import integrate_1d
 
 _LOG_DBL_MAX = 709.0  # log(DBL_MAX) rounded down
+# exp(-x) underflows past this, silently: a cut-off at it serves only to skip
+# a factor that would raise first (a division by an underflowed 0.0).
+EXP_UNDERFLOW = 745.0
 _TWO_PI = 2.0 * math.pi
 
 
@@ -57,10 +60,7 @@ def heat_kernel(t: float, x, nu: float):
         raise DomainError(f"heat_kernel requires nu > 0, got nu={nu}")
     if isinstance(x, (float, int)):
         var = nu * t
-        arg = x * x / (2.0 * var)
-        if arg > 745.0:
-            return 0.0
-        return math.exp(-arg) / math.sqrt(_TWO_PI * var)
+        return math.exp(-x * x / (2.0 * var)) / math.sqrt(_TWO_PI * var)
     x, scalar = _as_float_array(x)
     var = nu * t
     out = np.exp(-x * x / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
@@ -120,6 +120,16 @@ def gaussian_product_split(s: float, nu: float, y: float, z1: float, z2: float):
     return heat_kernel(s, y - zbar, nu / 2.0), heat_kernel(2.0 * s, dz, nu)
 
 
+def _moment_bound_args(name: str, s: float, t: float, ys):
+    """``ys`` as floats and ``p = len(ys)``; requires p >= 1 and s, t > 0."""
+    ys = [float(v) for v in ys]
+    if not ys:
+        raise DomainError(f"{name} requires at least one y")
+    if not (s > 0 and t > 0):
+        raise DomainError(f"{name} requires s > 0 and t > 0")
+    return ys, len(ys)
+
+
 def gaussian_product_moment_bound(s: float, t: float, x: float, ys):
     """Evaluate both sides of the Gaussian product-moment inequality
 
@@ -139,12 +149,7 @@ def gaussian_product_moment_bound(s: float, t: float, x: float, ys):
     unbounded in ``v``; for ``p = 1`` that is every ``s > 0``, and
     p = 1, s = t = 1, x = -1, y = 2 gives ``lhs / rhs = sqrt(e)``.
     """
-    ys = [float(v) for v in ys]
-    p = len(ys)
-    if p < 1:
-        raise DomainError("gaussian_product_moment_bound requires at least one y")
-    if not (s > 0 and t > 0):
-        raise DomainError("gaussian_product_moment_bound requires s > 0 and t > 0")
+    ys, p = _moment_bound_args("gaussian_product_moment_bound", s, t, ys)
 
     # G_1(s, x + z) Π_j G_1(t, z - y_j) as one exponential.
     norm = 1.0 / (math.sqrt(_TWO_PI * s) * math.sqrt(_TWO_PI * t) ** p)
@@ -179,14 +184,8 @@ def gaussian_product_moment_bound_repaired(s: float, t: float, x: float, ys):
     gives this version, which holds for all s, t > 0.  Returns ``rhs`` only
     (the lhs is shared).
     """
-    ys = [float(v) for v in ys]
-    p = len(ys)
-    if p < 1:
-        raise DomainError("gaussian_product_moment_bound_repaired requires "
-                          "at least one y")
-    if not (s > 0 and t > 0):
-        raise DomainError("gaussian_product_moment_bound_repaired requires "
-                          "s > 0 and t > 0")
+    ys, p = _moment_bound_args("gaussian_product_moment_bound_repaired",
+                               s, t, ys)
     rhs = (2.0 ** (p / 2.0) * ((p * s + t) / t) ** ((p - 1) / 2.0)
            * np.exp(p * x * x / (2.0 * (p * s + t))))
     for yi in ys:

@@ -38,13 +38,11 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .gaussian import normal_cdf
+from .gaussian import EXP_UNDERFLOW, normal_cdf
 from .quadrature import integrate_1d, integrate_split
 
 __all__ = ["JointLocalTimeLaw", "first_passage_convolution",
            "first_passage_rhs_printed"]
-
-_EXP_UNDERFLOW = 745.0
 
 
 def _sign(a: float) -> float:
@@ -76,7 +74,7 @@ class JointLocalTimeLaw:
         t = self.t
         r = abs(self.a) + abs(y - self.a) + v
         arg = r * r / (2.0 * t)
-        if arg > _EXP_UNDERFLOW:
+        if arg > EXP_UNDERFLOW:  # also skips t ** 3, 0.0 below t ~ 1e-108
             return 0.0
         return r / math.sqrt(2.0 * math.pi * t ** 3) * math.exp(-arg)
 
@@ -124,11 +122,9 @@ class JointLocalTimeLaw:
 
         def y_integrand(y: float) -> float:
             c = abs(a) + abs(y - a)
-            lo = (c + v_lo) ** 2 / (2.0 * t)
-            upper = np.exp(-lo) if lo < _EXP_UNDERFLOW else 0.0
+            upper = np.exp(-(c + v_lo) ** 2 / (2.0 * t))
             if np.isfinite(v_hi):
-                hi = (c + v_hi) ** 2 / (2.0 * t)
-                upper -= np.exp(-hi) if hi < _EXP_UNDERFLOW else 0.0
+                upper -= np.exp(-(c + v_hi) ** 2 / (2.0 * t))
             return upper / np.sqrt(2.0 * np.pi * t)
 
         return integrate_split(y_integrand, y_lo, y_hi, a,
@@ -225,7 +221,7 @@ def first_passage_convolution(t: float, a: float, b: float):
         def integrand(uu: float) -> float:
             u2 = uu * uu
             expo = p * p / (2.0 * t * u2) + q * q / (2.0 * t * (1.0 - u2))
-            if expo > _EXP_UNDERFLOW:
+            if expo > EXP_UNDERFLOW:  # also skips / (t * t), t < 1e-162
                 return 0.0
             return (2.0 * p * q / (t * t) / u2 / (1.0 - u2) ** 1.5
                     * math.exp(-expo))

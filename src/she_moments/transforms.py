@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, PoleError
-from .gaussian import heat_kernel
+from .gaussian import EXP_UNDERFLOW, heat_kernel
 from .kernels import (KernelParams, growth_tail, second_moment_time_factor,
                       two_point_time_factor)
 from .quadrature import integrate_1d
@@ -40,7 +40,6 @@ __all__ = [
     "time_factor_transform_summands",
 ]
 
-_EXP_UNDERFLOW = 745.0
 _POLE_EXCLUSION = 1e-3
 
 
@@ -62,7 +61,8 @@ def _first_passage_kernel(t: float, case: TransformCase, _params) -> float:
     """|a| t^{-3/2} exp(-a^2 / 2t), the first-passage density kernel."""
     a = case.a
     expo = a * a / (2.0 * t)
-    return 0.0 if expo > _EXP_UNDERFLOW else abs(a) * t ** -1.5 * np.exp(-expo)
+    # The cut-off also skips t ** -1.5, an OverflowError below t ~ 3e-206.
+    return 0.0 if expo > EXP_UNDERFLOW else abs(a) * t ** -1.5 * np.exp(-expo)
 
 
 # One row per pair; ``closed`` gets w = sqrt(nu z) and
@@ -159,6 +159,17 @@ def time_factor_transform_summands(nu: float, lam: float, z: float):
     return float(_printed_h(nu, lam2, z)), float(recomposed)
 
 
+def _from_origin(p: Callable[[float], float], q: Callable[[float], float],
+                 end: float, **tols) -> float:
+    """∫_0^{end^2} p(s) q(s) ds in the variable s = w^2, that is
+    ∫_0^end 2 w p(w^2) q(w^2) dw, so integrable s^{-1/2} singularities at
+    the origin pose no problem.  ``tols`` go to :func:`integrate_1d`."""
+    def integrand(wv: float) -> float:
+        s = wv * wv
+        return 2.0 * wv * p(s) * q(s)
+    return integrate_1d(integrand, 0.0, end, **tols)
+
+
 def laplace_numeric(time_fn: Callable[[float], float], z: float,
                     tail_bound: float = 0.0) -> float:
     """Forward numeric Laplace transform ``∫_0^∞ e^{-z t} f(t) dt``.
@@ -176,12 +187,7 @@ def laplace_numeric(time_fn: Callable[[float], float], z: float,
                           f"{tail_bound}, got z = {z}")
     t0 = min(1.0, 1.0 / z)
     t_max = t0 + 64.0 / (z - tail_bound)
-
-    def head(wv: float) -> float:
-        t = wv * wv
-        return 2.0 * wv * np.exp(-z * t) * time_fn(t)
-
-    head_val = integrate_1d(head, 0.0, np.sqrt(t0),
+    head_val = _from_origin(lambda t: np.exp(-z * t), time_fn, np.sqrt(t0),
                             abs_tol=1e-11, rel_tol=1e-10)
     tail_val = integrate_1d(lambda t: np.exp(-z * t) * time_fn(t), t0, t_max,
                             abs_tol=1e-11, rel_tol=1e-10, limit=400)
@@ -252,19 +258,13 @@ def conv_heat_offset_factor(t: float, dx: float, dz: float,
 
 def _split_time_convolution(t: float, left: Callable[[float], float],
                             right: Callable[[float], float]) -> float:
-    """∫_0^t left(s) right(t - s) ds with integrable endpoint singularities,
-    via the substitution s = w^2 on each half."""
-    def head(wv: float) -> float:
-        s = wv * wv
-        return 2.0 * wv * left(s) * right(t - s)
-
-    def tail(wv: float) -> float:
-        s = wv * wv
-        return 2.0 * wv * left(t - s) * right(s)
-
+    """∫_0^t left(s) right(t - s) ds with integrable endpoint singularities:
+    each half of [0, t] from the end it touches."""
     half = np.sqrt(t / 2.0)
-    return (integrate_1d(head, 0.0, half, abs_tol=1e-12, rel_tol=1e-10)
-            + integrate_1d(tail, 0.0, half, abs_tol=1e-12, rel_tol=1e-10))
+    return (_from_origin(left, lambda s: right(t - s), half,
+                         abs_tol=1e-12, rel_tol=1e-10)
+            + _from_origin(lambda s: left(t - s), right, half,
+                           abs_tol=1e-12, rel_tol=1e-10))
 
 
 def conv_heat_time_factor_quad(t: float, dz: float,

@@ -674,6 +674,78 @@ class TestJsonNumbers:
         assert "Traceback" not in err
 
 
+class TestPointFlags:
+    @pytest.mark.parametrize("command,flag", [("second-moment", "--x1"),
+                                              ("two-point", "--x")])
+    def test_other_commands_point_flag_exit_2(self, capsys, lebesgue_file,
+                                              command, flag):
+        points = (["--x", "0"] if command == "second-moment"
+                  else ["--x1", "0", "--x2", "1"])
+        with pytest.raises(SystemExit) as info:
+            main([command, "--measure", lebesgue_file, "--t", "1", *points,
+                  flag, "0"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+TWO_POINT = ["two-point", "--t", "1", "--x1", "0", "--x2", "1", "--measure"]
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("argv", [
+        TWO_POINT, ["simulate", "--config"], ["simulate", "--from-manifest"],
+    ], ids=["measure", "config", "from_manifest"])
+    def test_directory_as_input_exit_2(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "directory" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["local-time", "mgf", "--t", "1", "--a", "0", "--lambda", "1"],
+        ["verify", "--suite", "laplace"],
+    ], ids=["csv", "json"])
+    def test_directory_as_out_exit_2(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "directory" in err
+
+    @pytest.mark.parametrize("argv", [TWO_POINT, ["simulate", "--config"]],
+                             ids=["measure", "config"])
+    def test_not_utf8_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert "utf-8" in err
+
+
+class TestOversizedRequests:
+    """Requests of 1e15 elements (7.11 PiB of doubles), whose allocation
+    fails at once on any host."""
+
+    HUGE = "1000000000000000"
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--which", "K", "--t", "1", "--x", f"0:1:{HUGE}"],
+        ["local-time", "sample", "--t", "1", "--a", "0", "--n", HUGE],
+    ], ids=["kernel_grid", "local_time_n"])
+    def test_exit_2_with_numpy_message(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Unable to allocate" in err
+
+    def test_simulate_paths_exit_2(self, capsys, tmp_path):
+        code, out, err = _simulate(capsys, tmp_path, "fk", FK_CONFIG,
+                                   "--paths", self.HUGE)
+        assert code == 2
+        assert out == ""
+        assert "Unable to allocate" in err
+
+
 def test_version_has_one_source(capsys):
     # pyproject.toml reads the package version from she_moments.__version__.
     from pathlib import Path

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ class TestHeatKernel:
         vals = heat_kernel(1.0, xs, 1.0)
         assert vals.shape == (3,)
         assert vals[0] == vals[2]
+
+    def test_far_tail_is_zero_without_warning(self):
+        # No cut-off: exp(-800) underflows to 0.0 silently on both paths.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert heat_kernel(1.0, 40.0, 1.0) == 0.0
+            assert heat_kernel(1.0, np.array([40.0]), 1.0)[0] == 0.0
 
 
 class TestNormalCdf:

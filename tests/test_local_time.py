@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,27 @@ from she_moments.local_time import (JointLocalTimeLaw,
                                     first_passage_convolution,
                                     first_passage_rhs_printed)
 from she_moments.quadrature import integrate_1d
+
+
+class TestFarTail:
+    """Far out every density and cell is exactly 0.0 and warns of nothing.
+    The last two cases are the cut-offs that stay: at a tiny time they
+    return before dividing by t ** 3 or t * t, which are 0.0 there."""
+
+    @pytest.mark.parametrize("value", [
+        lambda: JointLocalTimeLaw(1.0, 1.0).density_cont(60.0, 1.0),
+        lambda: JointLocalTimeLaw(1.0, 1.0).cell_probability(100.0, 200.0,
+                                                             0.0, 1.0),
+        lambda: JointLocalTimeLaw(1.0, -1.0).cell_probability(-np.inf, -80.0,
+                                                              0.5, np.inf),
+        lambda: JointLocalTimeLaw(1e-120, 0.0).density_cont(0.5, 0.1),
+        lambda: first_passage_convolution(1e-170, 1.0, 1.0)[0],
+    ], ids=["density", "cell", "cell_open", "density_tiny_t",
+            "first_passage_tiny_t"])
+    def test_exact_zero_without_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert value() == 0.0
 
 
 class TestDensities:

@@ -68,6 +68,10 @@ class TestNumericTransform:
         got = laplace_numeric(g1, 1.0)
         assert got == pytest.approx(0.60940328056875752, abs=1e-8)
 
+    def test_first_passage_kernel_at_tiny_time(self):
+        # Its cut-off stays: it returns before t ** -1.5 overflows.
+        assert TransformCase("LapGa", a=1.0).time_fn()(1e-300) == 0.0
+
     def test_growth_bound_enforced(self):
         with pytest.raises(DomainError):
             laplace_numeric(lambda t: math.exp(t), 0.5, tail_bound=1.0)
