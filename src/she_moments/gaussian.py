@@ -1,9 +1,10 @@
 """Numerically stable Gaussian primitives.
 
 Everything downstream (moment kernels, local-time densities, transform
-checks) is built from four ingredients defined here:
+checks) is built from five ingredients defined here:
 
 * the heat kernel ``G_nu(t, x) = exp(-x^2 / (2 nu t)) / sqrt(2 pi nu t)``,
+* the Brownian first-passage density ``h(t, r) = (r / t) G_1(t, r)``,
 * the standard normal CDF ``Phi``,
 * the product ``exp(c) * Phi(d)`` evaluated without overflow,
 * the two-Gaussian product split used to collapse double integrals.
@@ -31,9 +32,6 @@ from .errors import DomainError, KernelOverflowError
 from .quadrature import integrate_1d
 
 _LOG_DBL_MAX = 709.0  # log(DBL_MAX) rounded down
-# exp(-x) underflows past this, silently: a cut-off at it serves only to skip
-# a factor that would raise first (a division by an underflowed 0.0).
-EXP_UNDERFLOW = 745.0
 _TWO_PI = 2.0 * math.pi
 
 
@@ -56,15 +54,23 @@ def heat_kernel(t: float, x, nu: float):
     """
     if not (t > 0):
         raise DomainError(f"heat_kernel requires t > 0, got t={t}")
-    if not (nu > 0):
-        raise DomainError(f"heat_kernel requires nu > 0, got nu={nu}")
+    var = nu * t
+    if not (var > 0):  # nu <= 0, or nu * t underflowing to 0.0
+        raise DomainError(f"heat_kernel requires nu * t > 0, got {nu} * {t}")
     if isinstance(x, (float, int)):
-        var = nu * t
         return math.exp(-x * x / (2.0 * var)) / math.sqrt(_TWO_PI * var)
     x, scalar = _as_float_array(x)
-    var = nu * t
     out = np.exp(-x * x / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
     return _ret(out, scalar)
+
+
+def first_passage_density(t: float, r: float) -> float:
+    """``h(t, r) = r / sqrt(2 pi t^3) exp(-r^2 / 2t) = (r / t) G_1(t, r)``,
+    the density of the time a standard Brownian motion first reaches a level
+    at distance ``r >= 0``.  As ``r G_1 <= exp(-1/2) / sqrt(2 pi)``, only the
+    last division can overflow, and only where ``h`` itself does."""
+    g = heat_kernel(t, r, 1.0)
+    return 0.0 if g == 0.0 else r * g / t  # not inf * 0.0 at r = inf
 
 
 def normal_cdf(x):

@@ -93,9 +93,8 @@ class TwoPointQuery:
 class MomentBoundParams:
     """Parameters of the p-th moment bounds for Lipschitz noise couplings.
 
-    ``lip_upper`` is a constant with ``|rho(u)| <= lip_upper * |u|``;
-    ``lip_lower`` one with ``|rho(u)| >= lip_lower * |u|``.  Both contracts
-    are the caller's responsibility (they are not checkable pointwise).
+    ``lip_upper`` is a constant with ``|rho(u)| <= lip_upper * |u|``, the
+    caller's contract (it is not checkable pointwise).
     ``c_p`` is 1 exactly for p = 2 and 2 for p > 2; the upper bound uses the
     two-point kernel with coupling ``c_p^2 * sqrt(p/2) * lip_upper`` and an
     overall prefactor ``c_p``.
@@ -103,13 +102,12 @@ class MomentBoundParams:
 
     p: float
     lip_upper: float = 0.0
-    lip_lower: float = 0.0
 
     def __post_init__(self):
         if not (self.p >= 2):
             raise DomainError(f"MomentBoundParams requires p >= 2, got {self.p}")
-        if self.lip_upper < 0 or self.lip_lower < 0:
-            raise DomainError("Lipschitz constants must be nonnegative")
+        if self.lip_upper < 0:
+            raise DomainError("the Lipschitz constant must be nonnegative")
 
     @property
     def c_p(self) -> float:
@@ -175,11 +173,11 @@ def covariance_kernel(t: float, z1, z2, y, params: KernelParams):
     """
     nu, l2 = params.nu, params.lam2
     w = np.abs(y) + np.abs(y - (np.asarray(z1) - np.asarray(z2)))
-    val = growth_tail(t, w, nu, l2)
     with np.errstate(over="ignore"):
-        return require_finite(l2 / (2.0 * nu) * heat_kernel(
-            t, 0.5 * (np.asarray(z1) + np.asarray(z2)), nu / 2.0) * val,
-            "K_dag")
+        # heat_kernel checks t > 0 before growth_tail takes sqrt(2 nu t).
+        g = heat_kernel(t, 0.5 * (np.asarray(z1) + np.asarray(z2)), nu / 2.0)
+        val = growth_tail(t, w, nu, l2)
+        return require_finite(l2 / (2.0 * nu) * g * val, "K_dag")
 
 
 def two_point_kernel(t: float, z1, z2, y, params: KernelParams):

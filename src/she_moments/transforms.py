@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, PoleError
-from .gaussian import EXP_UNDERFLOW, heat_kernel
+from .gaussian import first_passage_density, heat_kernel
 from .kernels import (KernelParams, growth_tail, second_moment_time_factor,
                       two_point_time_factor)
 from .quadrature import integrate_1d
@@ -57,14 +57,6 @@ def _printed_h(nu: float, lam2: float, z: float):
             + lam4 / (2.0 * w * (4.0 * nu * z - lam4)))
 
 
-def _first_passage_kernel(t: float, case: TransformCase, _params) -> float:
-    """|a| t^{-3/2} exp(-a^2 / 2t), the first-passage density kernel."""
-    a = case.a
-    expo = a * a / (2.0 * t)
-    # The cut-off also skips t ** -1.5, an OverflowError below t ~ 3e-206.
-    return 0.0 if expo > EXP_UNDERFLOW else abs(a) * t ** -1.5 * np.exp(-expo)
-
-
 # One row per pair; ``closed`` gets w = sqrt(nu z) and
 # decay = exp(-|x| sqrt(z / nu)) from laplace_closed.
 _PAIRS = {
@@ -87,7 +79,9 @@ _PAIRS = {
     "F3Minus": _Pair(lambda t, c, p: inverse_transform_f3(t, c.x, -1, p),
                      lambda c, z, w, decay, lam2:
                      lam2 * decay / (8.0 * c.nu * z * (2.0 * w - lam2)), True),
-    "LapGa": _Pair(_first_passage_kernel,
+    # |a| t^{-3/2} e^{-a^2 / 2t}, the first-passage density times sqrt(2 pi)
+    "LapGa": _Pair(lambda t, c, p: np.sqrt(2.0 * np.pi)
+                   * first_passage_density(t, abs(c.a)),
                    lambda c, z, w, decay, lam2: np.sqrt(2.0 * np.pi)
                    * np.exp(-np.sqrt(2.0) * abs(c.a) * np.sqrt(z)), False),
     "ConvGH": _Pair(lambda t, c, p: conv_heat_time_factor(t, c.x, p),

@@ -307,7 +307,7 @@ def suite_local_time() -> list[dict]:
                       (4.0, 2.0, 0.7)):
         law = JointLocalTimeLaw(t=t, a=a)
         l2 = lam * lam
-        norm = 1.0 / math.sqrt(2.0 * math.pi * t ** 3)
+        norm = heat_kernel(t, 0.0, 1.0) / t  # h(t, r) = r G_1(t, r) / t
 
         def y_integrand(y: float) -> float:
             r0 = abs(a) + abs(y - a)

@@ -291,6 +291,19 @@ class TestLocalTimeCommand:
                              "--a", "1", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,want", [
+        (["--t", "1e103", "--a", "1"], 0),
+        # The density itself overflows: (r / t) G_1(t, r) ~ 2.4e319.
+        (["--t", "1e-320", "--a", "0", "--y", "0", "--v", "1e-160"], 3),
+    ], ids=["t_1e103", "t_1e-320"])
+    def test_density_at_extreme_time(self, capsys, argv, want):
+        code, out, _ = run_cli(capsys, "local-time", "density", *argv)
+        assert code == want
+        if want:
+            assert out == ""
+        else:
+            assert all(np.isfinite(float(r["f"])) for r in parse_csv(out))
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("measure,extra,want", [
@@ -378,6 +391,18 @@ class TestInputBoundary:
                                "--a", "nan", "--n", "5")
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize("which", ["H", "K", "Htilde", "Kdagger",
+                                       "Kstar"])
+    @pytest.mark.parametrize("t,nu", [("0", "1"), ("-1", "1"),
+                                      ("1e-320", "1e-20")],
+                             ids=["t_0", "t_-1", "nu_t_underflows"])
+    def test_kernel_domain_exit_3(self, capsys, which, t, nu):
+        code, out, err = run_cli(capsys, "kernel", "--which", which,
+                                 "--t", t, "--nu", nu)
+        assert code == 3
+        assert out == ""
+        assert "heat_kernel requires" in err
 
     def test_oracle_overflow_exits_before_monte_carlo(self, capsys, tmp_path,
                                                       monkeypatch):

@@ -36,7 +36,8 @@ class TestHeatKernel:
         mass = integrate_1d(lambda x: heat_kernel(t, x, nu), -np.inf, np.inf)
         assert abs(mass - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("t,nu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("t,nu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                      (1e-320, 1e-20)])
     def test_domain_errors(self, t, nu):
         with pytest.raises(DomainError):
             heat_kernel(t, 0.0, nu)

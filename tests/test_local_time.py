@@ -15,19 +15,25 @@ from she_moments.quadrature import integrate_1d
 
 class TestFarTail:
     """Far out every density and cell is exactly 0.0 and warns of nothing.
-    The last two cases are the cut-offs that stay: at a tiny time they
-    return before dividing by t ** 3 or t * t, which are 0.0 there."""
+    The tiny-time cases form no t ** 3, t * t or t ** -1.5, which are 0.0
+    or overflow there: the density is (r / t) G_1(t, r), and the
+    convolution's integrand divides by t twice."""
 
     @pytest.mark.parametrize("value", [
         lambda: JointLocalTimeLaw(1.0, 1.0).density_cont(60.0, 1.0),
+        lambda: JointLocalTimeLaw(1.0, -1e308).density_cont(1e308, 1.0),
         lambda: JointLocalTimeLaw(1.0, 1.0).cell_probability(100.0, 200.0,
                                                              0.0, 1.0),
         lambda: JointLocalTimeLaw(1.0, -1.0).cell_probability(-np.inf, -80.0,
                                                               0.5, np.inf),
         lambda: JointLocalTimeLaw(1e-120, 0.0).density_cont(0.5, 0.1),
         lambda: first_passage_convolution(1e-170, 1.0, 1.0)[0],
-    ], ids=["density", "cell", "cell_open", "density_tiny_t",
-            "first_passage_tiny_t"])
+        lambda: first_passage_rhs_printed(1e-210, 1.0, 1.0),
+        lambda: first_passage_convolution(1e-210, 1.0, 1.0)[0],
+        lambda: first_passage_convolution(1e-210, 1.0, 1.0)[1],
+    ], ids=["density", "density_r_inf", "cell", "cell_open", "density_tiny_t",
+            "first_passage_tiny_t", "rhs_printed_1e-210",
+            "first_passage_lhs_1e-210", "first_passage_rhs_1e-210"])
     def test_exact_zero_without_warning(self, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -39,6 +45,21 @@ class TestDensities:
         law = JointLocalTimeLaw(t=1.0, a=1.0)
         assert law.density_cont(1.0, 1.0) == \
             pytest.approx(0.1079819330263761, rel=1e-14)
+
+    # 40-digit references (mpmath) at both ends of t.
+    @pytest.mark.parametrize("value,want", [
+        (lambda: JointLocalTimeLaw(1e-300, 0.0).density_cont(0.0, 1e-150),
+         2.419707245191433497978302e+299),
+        (lambda: JointLocalTimeLaw(1e103, 0.0).density_cont(0.0, 1.0),
+         1.261566261010080024123575e-155),
+        (lambda: JointLocalTimeLaw(1e300, 0.0).density_cont(0.0, 1e150),
+         2.419707245191433497978302e-301),
+        (lambda: first_passage_rhs_printed(1e103, 1.0, 1.0),
+         2.52313252202016004824715e-155),
+    ], ids=["density_1e-300", "density_1e103", "density_1e300",
+            "rhs_printed_1e103"])
+    def test_extreme_time_reference(self, value, want):
+        assert value() == pytest.approx(want, rel=1e-14)
 
     def test_level_zero_form(self):
         law = JointLocalTimeLaw(t=1.0, a=0.0)

@@ -69,7 +69,7 @@ class TestNumericTransform:
         assert got == pytest.approx(0.60940328056875752, abs=1e-8)
 
     def test_first_passage_kernel_at_tiny_time(self):
-        # Its cut-off stays: it returns before t ** -1.5 overflows.
+        # No t ** -1.5, which overflows here: sqrt(2 pi) (a / t) G_1(t, a).
         assert TransformCase("LapGa", a=1.0).time_fn()(1e-300) == 0.0
 
     def test_growth_bound_enforced(self):
