@@ -39,7 +39,8 @@ from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       second_moment_time_factor, two_point_kernel,
                       two_point_lebesgue, two_point_time_factor)
 from .local_time import JointLocalTimeLaw
-from .measures import (DensityMeasure, GrowthCertificate, LebesgueScaled,
+from .measures import (DensityMeasure, DiracAtoms, GaussianDensity,
+                       GrowthCertificate, LebesgueScaled, mixture_two_point,
                        parse_measure, two_point)
 from .simulate import (McConfig, RhoSpec, SpdeGrid, fk_two_point,
                        fk_two_point_occupation, spde_estimate_two_point)
@@ -161,10 +162,13 @@ def _cmd_kernel(args) -> int:
 def _closed_two_point(q: TwoPointQuery, mu, params: KernelParams) -> float:
     """Closed/specialised evaluation, behind every two-point value the CLI
     prints (``two-point``, ``second-moment`` and both simulate oracles):
-    exact formulas for Lebesgue, exact kernel sums for atoms, split-form
-    quadrature otherwise."""
+    exact formulas for Lebesgue, closed forms for atoms, Gaussians and
+    their sums, split-form quadrature otherwise."""
     if isinstance(mu, LebesgueScaled):
         return mu.scale * mu.scale * two_point_lebesgue(q, params)
+    if all(isinstance(term, (DiracAtoms, GaussianDensity))
+           for term in mu.primitive_terms()):
+        return mixture_two_point(q, mu, params)
     return two_point(q, mu, params, formula="split")
 
 

@@ -1,12 +1,14 @@
 """Numerically stable Gaussian primitives.
 
 Everything downstream (moment kernels, local-time densities, transform
-checks) is built from five ingredients defined here:
+checks, the closed two-point form) is built from six ingredients defined
+here:
 
 * the heat kernel ``G_nu(t, x) = exp(-x^2 / (2 nu t)) / sqrt(2 pi nu t)``,
 * the Brownian first-passage density ``h(t, r) = (r / t) G_1(t, r)``,
 * the standard normal CDF ``Phi``,
 * the product ``exp(c) * Phi(d)`` evaluated without overflow,
+* the log of the bivariate normal CDF ``Phi2`` for correlation r <= 0,
 * the two-Gaussian product split used to collapse double integrals.
 
 The ``exp(c) * Phi(d)`` pattern is the whole reason this module exists: the
@@ -29,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, KernelOverflowError
-from .quadrature import integrate_1d
+from .quadrature import integrate_1d, panel_nodes
 
 _LOG_DBL_MAX = 709.0  # log(DBL_MAX) rounded down
 _TWO_PI = 2.0 * math.pi
@@ -110,6 +112,151 @@ def exp_phi(c, d):
             "exp(c)*Phi(d) overflows double precision",
             exponent=float(np.max(log_val)))
     return _ret(np.exp(log_val), c_scalar and d_scalar)
+
+
+# The bivariate normal CDF below integrates over a window past which its
+# integrand is below e^-_PHI2_TAIL (~3e-17) of its peak, with _PHI2_NODES
+# Gauss-Legendre nodes on each side of the peak.
+_PHI2_TAIL = 38.0
+_PHI2_NODES = 24
+_GL_T, _GL_W = panel_nodes([0.0, 1.0], _PHI2_NODES)
+# Past y = max(h, 0) + _CLIFF_CAP the weight phi(h - y) holds less than
+# e^-1250 of its mass on y >= 0, so a cliff further out may sit there.
+_CLIFF_CAP = 50.0
+# Phi(_PHI_ONE) = 1 in double precision.
+_PHI_ONE = 40.0
+_LOG_SQRT_2PI = 0.5 * math.log(_TWO_PI)
+_TWO_TAIL = 2.0 * _PHI2_TAIL
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_MINUS_SQRT_HALF = -math.sqrt(0.5)
+
+
+def _mills(u: float) -> float:
+    """phi(u) / Phi(u) without overflow or cancellation; inf at u = -inf."""
+    return _SQRT_2_OVER_PI / max(float(special.erfcx(u * _MINUS_SQRT_HALF)),
+                                 1e-320)
+
+
+def _window(h: float, p: float, q: float, lo: float, hi: float,
+            kappa: float):
+    """Where to put the nodes of ∫_lo^hi exp(h y - y²/2) Phi(p + q y) dy,
+    for h <= 0, whose log is concave with curvature between ``kappa`` and
+    at most twice that: the window [y - left, y + right] in [lo, hi], as
+    ``(h - y, u, q, log Phi(u), log integrand at y, -left, right)`` with
+    u = p + q y.
+
+    y is one Newton step towards the peak from that of the Gaussian that
+    log Phi(u) ~ -u²/2 gives.  On a side where the log falls at rate s >= 0
+    from y (s = 0 both ways at an interior peak), it falls by at least
+    s d + kappa d²/2 over a distance d: the window ends where that reaches
+    _PHI2_TAIL.
+    """
+    qq = q * q
+    y = min(max((h - p * q) / (1.0 + qq), lo), hi)
+    u = p + q * y
+    m = _mills(u)
+    y = min(max(y + (h - y + q * m) / max(1.0 + qq * m * (m + u), 1.0),
+                lo), hi)
+    u = p + q * y
+    slope = h - y + q * _mills(u)
+    fall = abs(slope)
+    near = _TWO_TAIL / (math.sqrt(fall * fall + kappa * _TWO_TAIL) + fall)
+    far = math.sqrt(_TWO_TAIL / kappa)
+    left, right = (near, far) if slope > 0 else (far, near)
+    log_phi = float(special.log_ndtr(u))
+    return (h - y, u, q, log_phi, (h - 0.5 * y) * y + log_phi,
+            -min(left, y - lo), min(right, hi - y))
+
+
+def _log_tilted_integrals(jobs) -> list[float]:
+    """log ∫_lo^hi exp(h y - y²/2) Phi(p + q y) dy for every job
+    ``(h, p, q, lo, hi, kappa)`` of :func:`_window`'s kind, all nodes in one
+    numpy pass, relative to the integrand's log at the window's centre."""
+    rows = np.array([_window(*job) for job in jobs])
+    slope, u, q, log_phi, peak = rows[:, :5].T
+    spans = rows[:, 5:].T  # -left, right
+    # Inputs past ~1e8 may overflow here, to values that are masked below or
+    # to a nan result.
+    with np.errstate(all="ignore"):
+        d = spans[..., None] * _GL_T
+        logs = ((slope[:, None] - 0.5 * d) * d - log_phi[:, None]
+                + special.log_ndtr(u[:, None] + q[:, None] * d))
+        # Past |u| ~ 1e8 the logs carry no digit of their difference to the
+        # peak; the caps keep such rows, whose integrals underflow, finite.
+        sums = np.exp(np.minimum(logs, 1.0)) @ _GL_W
+        return (peak + np.log(np.maximum(
+            spans[1] * sums[1] - spans[0] * sums[0], 1e-300))).tolist()
+
+
+def log_phi2_slope(points) -> list[float]:
+    """``log ∫_0^inf phi(h - y) Phi(beta - b y) dy + min(h, 0)² / 2`` for
+    every float triple ``(h, beta, b)`` in ``points``, with ``b >= 0``.
+
+    The integral is ``Phi2(h, k, r)``, P(X < h, Y < k) for a standard
+    bivariate normal, at ``r = -b / sqrt(1 + b²)`` and ``k = beta /
+    sqrt(1 + b²)`` (see :func:`log_phi2`); the log is scaled by
+    ``e^{min(h, 0)² / 2}`` like erfcx, so that callers can cancel ``-h²/2``
+    against their own exponents exactly.  The log of the integrand is
+    concave, with curvature between 1 and 1 + b²: for b <= 1 it is nearly
+    a Gaussian and one Gauss-Legendre window covers it.  For b > 1, Phi's
+    step at ``yc = beta / b`` is sharper than phi, and with nothing
+    subtracted from a near-equal term the integral is
+
+        ∫_yc^inf phi Phi(beta - b y)
+          + ∫_0^yc phi - ∫_0^yc phi Phi(b y - beta),
+
+    three integrals whose curvature varies by less than 1 + b² over
+    1 + (2/pi) b² (Phi's argument is <= 0 on the first and last), the
+    middle one, when yc > 0, at least twice the last.  The log is good to
+    ~1e-15, and to a few ulps in the deep tails.  Each window is placed on
+    floats; the nodes of all of them are evaluated in one numpy pass.
+
+    Past b ~ 1e8, r = -1 in double precision.  Inputs past ~1e150 may give
+    nan.
+    """
+    jobs, splits = [], []
+    for h, beta, b in points:
+        # In z = y - max(h, 0), phi(h - y) is e^{h₋ z - z²/2 - h₋²/2} / √2π.
+        h_lo, h_hi = min(h, 0.0), max(h, 0.0)
+        a = beta - b * h_hi
+        if b > 1.0:
+            kappa = 1.0 + (2.0 / math.pi) * b * b
+            cliff = max(min(beta / b, h_hi + _CLIFF_CAP), 0.0)
+        else:
+            kappa, cliff = 1.0, 0.0
+        jobs.append((h_lo, a, -b, cliff - h_hi, math.inf, kappa))
+        if cliff > 0:
+            jobs += [(h_lo, -a, b, -h_hi, cliff - h_hi, kappa),
+                     (h_lo, _PHI_ONE, 0.0, -h_hi, cliff - h_hi, 1.0)]
+        splits.append(cliff > 0)
+    logs = iter(_log_tilted_integrals(jobs) if jobs else ())
+    out = []
+    for split in splits:
+        outer = next(logs)
+        if split:
+            inner, gap = next(logs), next(logs)
+            if inner < gap:  # log(e^outer + e^gap - e^inner)
+                middle = gap + math.log(-math.expm1(inner - gap))
+                top = max(outer, middle)
+                outer = top + math.log1p(math.exp(-abs(outer - middle)))
+        out.append(outer - _LOG_SQRT_2PI)
+    return out
+
+
+def log_phi2(h, k, r):
+    """log P(X < h, Y < k) for a standard bivariate normal with correlation
+    ``-1 < r <= 0``, elementwise over arrays, good to ~1e-15 or a few ulps
+    of the log however deep the tails (see :func:`log_phi2_slope`)."""
+    h, k, r = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                    for v in (h, k, r)))
+    if not np.all((r > -1.0) & (r <= 0.0)):
+        raise DomainError("log_phi2 requires -1 < r <= 0")
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    slopes = log_phi2_slope(zip(*(v.ravel().tolist() for v in (
+        h, (k - r * h) / s, -r / s))))
+    h_lo = np.minimum(h, 0.0)
+    out = np.array(slopes).reshape(h.shape) - 0.5 * h_lo * h_lo
+    return _ret(out, out.ndim == 0)
 
 
 def gaussian_product_split(s: float, nu: float, y: float, z1: float, z2: float):

@@ -172,8 +172,10 @@ def covariance_kernel(t: float, z1, z2, y, params: KernelParams):
     product.  Nonnegative; zero when ``lam = 0``.
     """
     nu, l2 = params.nu, params.lam2
-    w = np.abs(y) + np.abs(y - (np.asarray(z1) - np.asarray(z2)))
-    with np.errstate(over="ignore"):
+    # Extreme arguments overflow w, or growth_tail's arguments to inf - inf;
+    # exp_phi then reports them as a DomainError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.abs(y) + np.abs(y - (np.asarray(z1) - np.asarray(z2)))
         # heat_kernel checks t > 0 before growth_tail takes sqrt(2 nu t).
         g = heat_kernel(t, 0.5 * (np.asarray(z1) + np.asarray(z2)), nu / 2.0)
         val = growth_tail(t, w, nu, l2)

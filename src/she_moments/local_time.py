@@ -46,6 +46,10 @@ from .quadrature import integrate_1d, integrate_split
 __all__ = ["JointLocalTimeLaw", "first_passage_convolution",
            "first_passage_rhs_printed"]
 
+# first_passage_convolution's boundary layer at u ~ p / sqrt(t) is thinner
+# than this only for t > 1e4 p²; verify's suite stays on the plain path.
+_LAYER_MIN = 1e-2
+
 
 def _sign(a: float) -> float:
     return 1.0 if a >= 0 else -1.0
@@ -223,8 +227,18 @@ def first_passage_convolution(t: float, a: float, b: float):
             # Never / (t * t): that is 0.0 below t ~ 1e-162.
             return (math.exp(-expo) * 2.0 * p * q / t / t / u2
                     / (1.0 - u2) ** 1.5)
-        return integrate_1d(integrand, 0.0, 1.0 / np.sqrt(2.0),
-                            abs_tol=1e-13, rel_tol=1e-11)
+        layer = p / math.sqrt(t)
+        if layer > _LAYER_MIN:
+            return integrate_1d(integrand, 0.0, 1.0 / np.sqrt(2.0),
+                                abs_tol=1e-13, rel_tol=1e-11)
+        # The layer at u ~ p / sqrt(t) is too thin for QUADPACK to find on
+        # [0, 1/√2], and past it the integrand falls only like 1/u²: in
+        # u = e^w both sides of a breakpoint at the layer are smooth.
+        def in_log(w: float) -> float:
+            uu = math.exp(w)  # where uu² underflows, exp(-expo) has too
+            return integrand(uu) * uu if uu * uu > 0.0 else 0.0
+        return integrate_split(in_log, -math.inf, -0.5 * math.log(2.0),
+                               math.log(layer), abs_tol=0.0, rel_tol=1e-11)
 
     lhs = half(aa, bb) + half(bb, aa)
     return float(lhs), 2.0 * math.pi * first_passage_density(t, aa + bb)

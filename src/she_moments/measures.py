@@ -44,6 +44,12 @@ Measures parse from a declarative JSON object::
     {"type": "lebesgue", "scale": c}
     {"type": "gaussian", "mean": m, "var": v, "mass": c}
     {"type": "sum", "terms": [ ... ]}
+
+Measures whose every term is atoms or Gaussian (:class:`GaussianDensity`)
+also have a closed form, :func:`mixture_two_point`: the covariance integral
+of any two components c N(m, V), an atom being V = 0, is one bivariate
+normal CDF term (:func:`~she_moments.gaussian.log_phi2_slope`) assembled in
+log space.
 """
 
 from __future__ import annotations
@@ -54,17 +60,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, InadmissibleMeasureError, QuadratureError,
-                     SheMomentsError)
-from .gaussian import heat_kernel
+from .errors import (DomainError, InadmissibleMeasureError,
+                     KernelOverflowError, QuadratureError, SheMomentsError)
+from .gaussian import _LOG_DBL_MAX, heat_kernel, log_phi2_slope
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       require_finite, two_point_kernel, two_point_kernel_at)
 from .quadrature import integrate_1d, integrate_panels, integrate_split
 
 __all__ = [
     "GrowthCertificate", "InitialMeasure", "DiracAtoms", "LebesgueScaled",
-    "DensityMeasure", "MeasureSum", "gaussian_density", "parse_measure",
-    "mean_field", "second_moment", "two_point", "check_membership",
+    "DensityMeasure", "GaussianDensity", "MeasureSum", "gaussian_density",
+    "parse_measure", "mean_field", "second_moment", "two_point",
+    "mixture_two_point", "check_membership",
 ]
 
 
@@ -208,6 +215,21 @@ class DensityMeasure(InitialMeasure):
 
 
 @dataclass(frozen=True)
+class GaussianDensity(DensityMeasure):
+    """``mass * N(mean, var)``, made by :func:`gaussian_density`.  The
+    quadrature routes read it as any DensityMeasure (``f``, certificate,
+    support); the closed route reads its parameters."""
+
+    mean: float = 0.0
+    var: float = 1.0
+    mass: float = 1.0
+
+    def total_variation(self) -> "GaussianDensity":
+        return (self if self.mass >= 0
+                else gaussian_density(self.mean, self.var, -self.mass))
+
+
+@dataclass(frozen=True)
 class MeasureSum(InitialMeasure):
     terms: tuple[InitialMeasure, ...]
 
@@ -232,7 +254,8 @@ class MeasureSum(InitialMeasure):
         return max(t.support_extent() for t in self.terms)
 
 
-def gaussian_density(mean: float, var: float, mass: float = 1.0) -> DensityMeasure:
+def gaussian_density(mean: float, var: float,
+                     mass: float = 1.0) -> GaussianDensity:
     """Gaussian density ``mass * N(mean, var)`` with a bounded certificate."""
     if not (var > 0):
         raise DomainError(f"gaussian_density requires var > 0, got {var}")
@@ -250,9 +273,10 @@ def gaussian_density(mean: float, var: float, mass: float = 1.0) -> DensityMeasu
         return norm * np.exp(-(np.asarray(x, dtype=float) - mean) ** 2 / two_var)
 
     half = 8.0 * math.sqrt(var)
-    return DensityMeasure(f, GrowthCertificate(amplitude=abs(norm)),
-                          nonnegative=mass >= 0,
-                          support=(mean - half, mean + half))
+    return GaussianDensity(f, GrowthCertificate(amplitude=abs(norm)),
+                           nonnegative=mass >= 0,
+                           support=(mean - half, mean + half),
+                           mean=mean, var=var, mass=mass)
 
 
 def _json_number(value) -> float:
@@ -307,7 +331,10 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
         raise DomainError("mean_field requires t > 0 and nu > 0")
     if isinstance(mu, DiracAtoms):
         locs, masses = np.array(mu.atoms, dtype=float).T
-        return float(masses @ heat_kernel(t, x - locs, nu))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # An overflow is a non-finite J0, which callers refuse, and
+            # exp(-x²/2 nu t) is 0.0 where x²/2 nu t overflows.
+            return float(masses @ heat_kernel(t, x - locs, nu))
     if isinstance(mu, LebesgueScaled):
         return mu.scale
     if isinstance(mu, DensityMeasure):
@@ -578,6 +605,123 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
         return _bilinear(mu, lambda m1, m2: _bilinear_primitive(
             m1, m2, q, params, abs_tol, rel_tol))
     raise DomainError(f"unknown two_point formula {formula!r}")
+
+
+# ---------------------------------------------------------------------------
+# Closed form for atoms and Gaussians
+# ---------------------------------------------------------------------------
+
+def _components(term: InitialMeasure) -> list[tuple[float, float, float]]:
+    """(location, variance, mass) of every component of an atoms or
+    Gaussian term; an atom is a component of variance 0."""
+    if isinstance(term, DiracAtoms):
+        return [(x, 0.0, m) for x, m in term.atoms]
+    if isinstance(term, GaussianDensity):
+        return [(term.mean, term.var, term.mass)]
+    raise DomainError(f"no closed two-point form for {type(term).__name__}")
+
+
+def _gaussian_pairs(q: TwoPointQuery, params: KernelParams, pairs) -> float:
+    """Σ w ∬ c1 N(dz1; m1, V1) c2 N(dz2; m2, V2) K_dag(t, x1 - z1,
+    x2 - z2, x1 - x2) over ``(w, (m1, V1, c1), (m2, V2, c2))`` in
+    ``pairs``, each with V1 + V2 > 0, in closed form.
+
+    In zbar = (z1 + z2)/2 and dz = z2 - z1 the Gaussian in zbar integrates
+    out, leaving, with alpha = lam²/2nu, D = |x1 - x2|, gamma = 1/sqrt(2 nu t),
+    beta = (lam² t - D) gamma and c0 = lam² (lam² t - 2D)/4nu,
+
+        c1 c2 alpha N(xbar; mbar, (nu t + Σ/2)/2) ∫ e^{c0 - alpha |dz|}
+            Phi(beta - gamma |dz|) N(dz; mu*, V*) ddz,
+
+    Σ = V1 + V2, where N(dz; mu*, V*) is dz's law given xbar.  On either
+    half line, at mu = ±mu*, that is e^{c0 - alpha mu + alpha² V*/2} Phi2,
+    assembled in log space with -h²/2 cancelled against the exponent, so
+    that no large prefactor meets a tiny Phi2 outside the log.
+    """
+    nu, l2, t = params.nu, params.lam2, q.t
+    alpha = l2 / (2.0 * nu)
+    if alpha == 0.0:
+        return 0.0
+    if not nu * t > 0:
+        raise DomainError(f"the closed form requires nu * t > 0, got "
+                          f"{nu} * {t}")
+    d = abs(q.dx)
+    gamma = 1.0 / math.sqrt(2.0 * nu * t)
+    beta = (l2 * t - d) * gamma
+    c0 = l2 * (l2 * t - 2.0 * d) / (4.0 * nu)
+    terms, points = [], []
+    for w, (m1, v1, c1), (m2, v2, c2) in pairs:
+        if c1 == 0.0 or c2 == 0.0:
+            continue
+        sigma = v1 + v2
+        delta, off = m2 - m1, q.x_bar - 0.5 * (m1 + m2)
+        slope = (v2 - v1) / (2.0 * sigma)
+        v_w = v1 * v2 / sigma + 0.5 * nu * t
+        var = 1.0 / (slope * slope / v_w + 1.0 / sigma)
+        if var == 0.0:
+            raise DomainError("the closed form requires variances whose "
+                              f"reciprocals are finite, got {v1} and {v2}")
+        mu = var * (slope * (off + slope * delta) / v_w + delta / sigma)
+        var_bar = 0.5 * (nu * t + 0.5 * sigma)
+        log_pre = (math.log(w * alpha) + math.log(abs(c1)) + math.log(abs(c2))
+                   - 0.5 * off * off / var_bar
+                   - 0.5 * math.log(2.0 * math.pi * var_bar))
+        sd = math.sqrt(var)
+        for m in (mu, -mu):
+            s0 = m - alpha * var
+            # c0 - alpha m + alpha² V*/2 - min(h, 0)²/2 at h = s0 / sd
+            terms.append((math.copysign(1.0, c1 * c2), log_pre + c0 + (
+                -0.5 * m * m / var if s0 < 0
+                else alpha * (0.5 * alpha * var - m))))
+            points.append((s0 / sd, beta, gamma * sd))
+    total = 0.0
+    for (sign, expo), log_phi2 in zip(terms, log_phi2_slope(points)):
+        log_term = expo + log_phi2
+        if log_term > _LOG_DBL_MAX:
+            raise KernelOverflowError(
+                "the closed covariance term overflows double precision")
+        total += sign * math.exp(log_term)
+    return require_finite(total, "the closed covariance term")
+
+
+def _closed_mean_field(t: float, x: float, mu: InitialMeasure,
+                       nu: float) -> float:
+    """J0(t, x) with a Gaussian term's heat smoothing in closed form,
+    mass * N(x; mean, nu t + var); other terms as in :func:`mean_field`."""
+    if isinstance(mu, GaussianDensity):
+        return mu.mass * heat_kernel(1.0, x - mu.mean, nu * t + mu.var)
+    if isinstance(mu, MeasureSum):
+        return float(sum(_closed_mean_field(t, x, term, nu)
+                         for term in mu.terms))
+    return mean_field(t, x, mu, nu)
+
+
+def mixture_two_point(q: TwoPointQuery, mu: InitialMeasure,
+                      params: KernelParams) -> float:
+    """E[u(t,x1) u(t,x2)] in closed form for a measure whose every primitive
+    term is atoms or a :class:`GaussianDensity`: J0 J0, an exact kernel sum
+    for each pair of atom terms, and :func:`_gaussian_pairs` over every
+    other pair of components.  The covariance integral is symmetric in its
+    two measures, so each unordered pair is taken once, twice weighted.
+    ``two_point`` (either formula) is its cross-check."""
+    terms = mu.primitive_terms()
+    atoms = [term for term in terms if isinstance(term, DiracAtoms)]
+    gauss = [c for term in terms if not isinstance(term, DiracAtoms)
+             for c in _components(term)]
+    pairs = [(2.0, a, g) for term in atoms for a in _components(term)
+             for g in gauss]
+    for i, g1 in enumerate(gauss):
+        pairs += [(1.0, g1, g1)] + [(2.0, g1, g2) for g2 in gauss[i + 1:]]
+
+    def kernel(z1, z2):
+        return covariance_kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
+                                 params)
+
+    j0j0 = (_closed_mean_field(q.t, q.x1, mu, params.nu)
+            * _closed_mean_field(q.t, q.x2, mu, params.nu))
+    value = j0j0 + sum(_atom_sum(a1, a2, kernel) for a1 in atoms
+                       for a2 in atoms)
+    return value + _gaussian_pairs(q, params, pairs) if pairs else value
 
 
 def second_moment(t: float, x: float, mu: InitialMeasure,

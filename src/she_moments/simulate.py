@@ -242,6 +242,12 @@ def _spde_step(u: np.ndarray, lap: np.ndarray, r: float, dirichlet: bool,
         u[:, 0] = u[:, -1] = 0.0
 
 
+# Bytes of the noise buffer shared by one batch's fields: a 250-path batch
+# on 331 nodes draws 25 steps at a time (17 MB, where 198 steps took
+# 131 MB per batch and most of a two-worker run's memory).
+_NOISE_BUFFER_BYTES = 1 << 24
+
+
 def _evolve(grid: SpdeGrid, u: np.ndarray, rho: RhoSpec, nu: float,
             gens: list) -> None:
     """Evolve the fields ``u`` (row ``p`` driven by ``gens[p]``) to t_final,
@@ -252,7 +258,7 @@ def _evolve(grid: SpdeGrid, u: np.ndarray, rho: RhoSpec, nu: float,
     r = nu * grid.dt / (2.0 * grid.dx ** 2)
     noise_scale = math.sqrt(grid.dt) / math.sqrt(grid.dx)
     dirichlet = grid.boundary == "dirichlet0"
-    chunk = max(1, 65536 // nx)
+    chunk = max(1, _NOISE_BUFFER_BYTES // (8 * len(gens) * nx))
 
     lap = np.empty_like(u)
     tmp = None if rho.is_zero else np.empty_like(u)

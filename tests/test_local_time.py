@@ -266,6 +266,14 @@ class TestFirstPassageConvolution:
         lhs_mm, _ = first_passage_convolution(1.2, -0.7, -0.9)
         assert lhs_pp == pytest.approx(lhs_mm, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [1e3, 1e10, 1e103])
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 3.0), (0.5, 2.0)])
+    def test_long_times(self, t, a, b):
+        """At t >> a² the boundary layer sits at u ~ a / sqrt(t) in the
+        s = t u² quadrature."""
+        lhs, rhs = first_passage_convolution(t, a, b)
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
+
 
 class TestMgfQuadratureConsistency:
     @pytest.mark.parametrize("t,a,lam", [(1.0, 1.0, 0.8), (0.5, -0.5, 1.0),

@@ -358,8 +358,11 @@ def test_quadrature_error_exits_3_from_the_cli(tmp_path, capsys,
         raise QuadratureError("panel quadrature did not converge",
                               achieved=1.0, requested=1e-10)
     monkeypatch.setattr(cli, "two_point", refuse)
-    code = _two_point_cli(tmp_path, {"type": "gaussian", "mean": 1.0,
-                                     "var": 1.0})
+    # Atoms and Gaussians alone take the closed route; a Lebesgue term keeps
+    # the measure on the quadrature route.
+    code = _two_point_cli(tmp_path, {"type": "sum", "terms": [
+        {"type": "lebesgue", "scale": 0.5},
+        {"type": "gaussian", "mean": 1.0, "var": 1.0}]})
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
