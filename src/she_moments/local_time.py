@@ -27,8 +27,9 @@ continuous part in coordinates ``(r, w = |y - a|, side)`` has density
 profile is the law of ``B_t`` restricted to ``{max_{s<=t} B_s < a}`` (for
 ``a > 0``), sampled by drawing the running maximum conditioned below ``a``
 and then the endpoint via a Rayleigh tail.  Each sample consumes exactly
-four uniforms, which is what lets the Monte Carlo engines address samples
-by counter-based stream position.
+three uniforms, the branch uniform also choosing the side, which is what
+lets the Monte Carlo engines address samples by counter-based stream
+position.
 """
 
 from __future__ import annotations
@@ -135,50 +136,35 @@ class JointLocalTimeLaw:
     # -- sampling --------------------------------------------------------
 
     def sample_from_uniforms(self, u: np.ndarray):
-        """Map uniforms of shape ``(n, 4)`` in [0, 1) to samples ``(y, v)``.
+        """Map uniforms of shape ``(n, 3)`` in [0, 1) to samples ``(y, v)``.
 
-        Deterministic four-uniform schedule per sample: branch choice,
-        then either (running max, Rayleigh tail) for the atom branch or
-        (conditioned Gaussian, exponential split, side) for the continuous
-        branch.
+        Uniform 0 picks the branch, the atom when ``u0 < P(L = 0)``, and on
+        the continuous branch also the side of ``a`` (``u0`` is uniform on
+        ``[P(L = 0), 1)`` there).  Uniform 1 gives ``c``, the running
+        maximum conditioned below ``|a|`` on the atom branch and ``|a| + v``
+        on the continuous one, through one shared ``ndtri``.  Uniform 2
+        gives the exponential that sets the distance ``g`` of the endpoint
+        from ``c`` (atom, mirrored for ``a < 0``) or from ``a``
+        (continuous).
         """
         u = np.asarray(u, dtype=float)
-        if u.ndim != 2 or u.shape[1] != 4:
-            raise DomainError("sample_from_uniforms expects shape (n, 4)")
+        if u.ndim != 2 or u.shape[1] != 3:
+            raise DomainError("sample_from_uniforms expects shape (n, 3)")
         t, a = self.t, self.a
         st = np.sqrt(t)
         aa = abs(a)
         p0 = self.atom_mass
 
-        n = u.shape[0]
-        y = np.empty(n)
-        v = np.empty(n)
-
-        atom = u[:, 0] < p0
-        if np.any(atom):
-            u1 = u[atom, 1]
-            u2 = u[atom, 2]
-            m = st * special.ndtri(0.5 * (1.0 + u1 * p0))
-            e = -np.log1p(-u2)
-            r = np.sqrt(m * m + 2.0 * t * e)
-            y[atom] = _sign(a) * (2.0 * m - r)
-            v[atom] = 0.0
-
-        cont = ~atom
-        if np.any(cont):
-            u1 = 1.0 - u[cont, 1]          # in (0, 1]
-            u2 = 1.0 - u[cont, 2]
-            u3 = u[cont, 3]
-            z = -st * special.ndtri(u1 * normal_cdf(-aa / st))
-            vv = z - aa
-            e = -np.log(u2)
-            c = aa + vv
-            r = np.sqrt(c * c + 2.0 * t * e)
-            w = 2.0 * t * e / (r + c)
-            side = np.where(u3 < 0.5, -1.0, 1.0)
-            y[cont] = a + side * w
-            v[cont] = vv
-
+        u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
+        atom = u0 < p0
+        q = special.ndtri(np.where(atom, 0.5 * (1.0 + u1 * p0),
+                                   (1.0 - u1) * normal_cdf(-aa / st)))
+        c = st * np.abs(q)
+        te2 = 2.0 * t * -np.log1p(-u2)
+        g = te2 / (np.sqrt(c * c + te2) + c)
+        below = u0 < 0.5 * (1.0 + p0)
+        y = np.where(atom, _sign(a) * (c - g), a + np.where(below, -g, g))
+        v = np.where(atom, 0.0, c - aa)
         return y, v
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -191,7 +177,7 @@ class JointLocalTimeLaw:
         n = 1 if size is None else int(size)
         if n < 1:
             raise DomainError(f"sample requires size >= 1, got {size}")
-        y, v = self.sample_from_uniforms(rng.random((n, 4)))
+        y, v = self.sample_from_uniforms(rng.random((n, 3)))
         if size is None:
             return float(y[0]), float(v[0])
         return y, v
@@ -224,13 +210,15 @@ def first_passage_convolution(t: float, a: float, b: float):
         def integrand(uu: float) -> float:
             u2 = uu * uu
             expo = p * p / (2.0 * t * u2) + q * q / (2.0 * t * (1.0 - u2))
-            # Never / (t * t): that is 0.0 below t ~ 1e-162.
-            return (math.exp(-expo) * 2.0 * p * q / t / t / u2
+            # Never / (t * t): that is 0.0 below t ~ 1e-162.  Nor
+            # 2pq / t / t, 0.0 above t ~ 1e162: there the layer puts u2 near
+            # p² / t, so / u2 in between keeps every partial quotient finite.
+            return (math.exp(-expo) * 2.0 * p * q / t / u2 / t
                     / (1.0 - u2) ** 1.5)
         layer = p / math.sqrt(t)
         if layer > _LAYER_MIN:
             return integrate_1d(integrand, 0.0, 1.0 / np.sqrt(2.0),
-                                abs_tol=1e-13, rel_tol=1e-11)
+                                abs_tol=0.0, rel_tol=1e-11)
         # The layer at u ~ p / sqrt(t) is too thin for QUADPACK to find on
         # [0, 1/√2], and past it the integrand falls only like 1/u²: in
         # u = e^w both sides of a breakpoint at the layer are smooth.

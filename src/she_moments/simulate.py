@@ -430,8 +430,9 @@ def fk_two_point(q: TwoPointQuery, u0: InitialMeasure, nu: float,
     ``u0`` is a ``LebesgueScaled`` constant or a ``DensityMeasure`` whose
     certificate bounds it; anything else is a ConfigError.
 
-    Each path consumes exactly five uniforms from its counter-based
-    substream, so the estimate is reproducible across any partitioning.
+    Each path consumes exactly four uniforms, one Philox block, from its
+    counter-based substream: three for ``(W1, L)`` and one for ``W2``.  The
+    estimate is therefore reproducible across any partitioning.
     """
     if not (nu > 0):
         raise DomainError(f"fk_two_point requires nu > 0, got {nu}")
@@ -441,9 +442,9 @@ def fk_two_point(q: TwoPointQuery, u0: InitialMeasure, nu: float,
     rate = lam * lam / (2.0 * nu)
 
     def task(lo: int, hi: int) -> np.ndarray:
-        u = uniforms_at(mc.seed, DOMAIN_FK, lo, hi, 5)
-        y, v = law.sample_from_uniforms(u[:, :4])
-        w2 = scale * special.ndtri(u[:, 4])
+        u = uniforms_at(mc.seed, DOMAIN_FK, lo, hi, 4)
+        y, v = law.sample_from_uniforms(u[:, :3])
+        w2 = scale * special.ndtri(u[:, 3])
         vals = (np.asarray(f(q.x1 + 0.5 * (w2 + y)), dtype=float)
                 * np.asarray(f(q.x2 + 0.5 * (w2 - y)), dtype=float))
         return vals * np.exp(rate * v)

@@ -6,7 +6,8 @@ of the reproducibility contract, so any rewrite of the keystream has to
 reproduce these digests bit for bit.  They pin library version 0.2.0's layout:
 one Philox key per (seed, domain), block j of path i at counter (i, j, 0, 0).
 If one of these fails, the keystream changed: restore it or bump the library
-version and record the change.
+version and record the change.  The pins at the end do the same for the
+Feynman-Kac sampler of version 0.3.0.
 """
 
 import hashlib
@@ -14,8 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from she_moments.cli import main
 from she_moments.kernels import TwoPointQuery
-from she_moments.measures import LebesgueScaled
+from she_moments.measures import LebesgueScaled, gaussian_density
 from she_moments.rng import DOMAIN_FK, DOMAIN_SPDE, uniforms_at
 from she_moments.simulate import McConfig, fk_two_point
 
@@ -101,3 +103,37 @@ def test_fk_two_point_estimate_is_pinned():
     assert repr(est) == ("Estimate(value=3.1065164379097046, "
                          "std_error=0.006441500363034108, n=50000, "
                          "n_divergent=0)")
+
+
+# Library version 0.3.0: three uniforms per (W1, L) sample and W2 from the
+# fourth uniform of the same block.  A constant u0 never reads the endpoints,
+# so these pins use a Gaussian density u0 and the sampler's own output.
+DENSITY_ESTIMATE = ("Estimate(value=0.15841440311601684, "
+                    "std_error=0.0008634269798684592, n=50000, "
+                    "n_divergent=0)")
+
+
+def _density_estimate(batch_size, workers):
+    return fk_two_point(TwoPointQuery(0.9, -0.3, 0.4),
+                        gaussian_density(0.2, 0.5), 1.0, 1.0,
+                        McConfig(n_paths=50_000, seed=2024,
+                                 batch_size=batch_size, workers=workers))
+
+
+def test_fk_two_point_density_estimate_is_pinned():
+    assert repr(_density_estimate(7_000, 2)) == DENSITY_ESTIMATE
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("batch_size", [333, 7_000, 20_000])
+def test_fk_two_point_density_estimate_ignores_partition(batch_size, workers):
+    assert repr(_density_estimate(batch_size, workers)) == DENSITY_ESTIMATE
+
+
+def test_local_time_sample_stdout_is_pinned(capsys):
+    code = main(["local-time", "sample", "--t", "1", "--a", "1",
+                 "--n", "1000", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (hashlib.sha1(out.encode()).hexdigest()
+            == "5631971641c3a225d2befca0446a9bbb3d3e55e0")

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from she_moments.errors import DomainError
 from she_moments.gaussian import heat_kernel
@@ -226,6 +227,49 @@ class TestSampler:
             JointLocalTimeLaw(t=1.0, a=0.0).sample(np.random.default_rng(0),
                                                    size=0)
 
+    @pytest.mark.parametrize("shape", [(10, 4), (10, 2), (30,)])
+    def test_uniform_shape_other_than_three_columns_rejected(self, shape):
+        with pytest.raises(DomainError):
+            JointLocalTimeLaw(t=1.0, a=1.0).sample_from_uniforms(
+                np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("a,seed", [(-0.7, 11), (0.0, 12)])
+    def test_continuous_part_matches_cell_probabilities(self, a, seed):
+        """Criterion 9's chi-square test (there at a = 1) on a 12 x 12
+        grid: the continuous samples against ``cell_probability``."""
+        law = JointLocalTimeLaw(t=1.0, a=a)
+        y, v = law.sample(np.random.default_rng(seed), size=200_000)
+        cont = v > 0.0
+        y_edges = np.concatenate(([-np.inf], np.linspace(-2.2, 2.2, 11),
+                                  [np.inf]))
+        v_edges = np.concatenate(([0.0], np.linspace(0.1, 2.4, 11),
+                                  [np.inf]))
+        obs, _, _ = np.histogram2d(y[cont], v[cont],
+                                   bins=[y_edges, v_edges])
+        expected = np.array([[law.cell_probability(y_lo, y_hi, v_lo, v_hi)
+                              for v_lo, v_hi in zip(v_edges, v_edges[1:])]
+                             for y_lo, y_hi in zip(y_edges, y_edges[1:])])
+        expected *= cont.sum() / (1.0 - law.atom_mass)
+        big = expected > 5.0
+        chi2 = float(((obs[big] - expected[big]) ** 2 / expected[big]).sum())
+        rest_obs, rest_exp = obs[~big].sum(), expected[~big].sum()
+        chi2 += (rest_obs - rest_exp) ** 2 / rest_exp
+        assert stats.chi2.sf(chi2, int(big.sum())) > 0.01
+
+    @pytest.mark.parametrize("a", [1.0, -0.7, 0.0])
+    def test_side_of_the_level_is_a_fair_coin(self, a):
+        """The branch uniform also picks the side: P(y > a | v > 0) is 1/2
+        in every quartile of v."""
+        law = JointLocalTimeLaw(t=1.0, a=a)
+        y, v = law.sample(np.random.default_rng(13), size=200_000)
+        cont = v > 0.0
+        y, v = y[cont], v[cont]
+        quartile = np.searchsorted(np.quantile(v, [0.25, 0.5, 0.75]), v)
+        for k in range(4):
+            above = y[quartile == k] > a
+            se = 0.5 / math.sqrt(above.size)
+            assert abs(above.mean() - 0.5) < 4 * se
+
 
 class TestFirstPassageConvolution:
     def test_reference_point(self):
@@ -266,13 +310,24 @@ class TestFirstPassageConvolution:
         lhs_mm, _ = first_passage_convolution(1.2, -0.7, -0.9)
         assert lhs_pp == pytest.approx(lhs_mm, rel=1e-12)
 
-    @pytest.mark.parametrize("t", [1e3, 1e10, 1e103])
+    @pytest.mark.parametrize("t", [1e3, 1e10, 1e103, 1e150, 1e200])
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 3.0), (0.5, 2.0)])
     def test_long_times(self, t, a, b):
         """At t >> a² the boundary layer sits at u ~ a / sqrt(t) in the
-        s = t u² quadrature."""
+        s = t u² quadrature; past t ~ 1e162, 2ab / t / t alone is 0.0."""
         lhs, rhs = first_passage_convolution(t, a, b)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("t,a,b", [
+        (0.2, 1.0, 3.0), (0.2, 2.0, 2.0),
+        (1e-170, 1e-85, 3e-85), (1e200, 1e100, 3e100)])
+    def test_plain_path_converges_on_tiny_values(self, t, a, b):
+        """Both sides are ~4.8e-16 at t = 0.2 and ~3.4e-203 at t = 1e200:
+        an absolute tolerance near 1e-13 stops the quadrature early there
+        (1.6e-6, 3e-9 and 7e-8 relative).  t = 1e-170 must not divide by
+        t * t."""
+        lhs, rhs = first_passage_convolution(t, a, b)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 class TestMgfQuadratureConsistency:
