@@ -37,11 +37,10 @@ from .errors import (ConfigError, DivergenceError, DomainError,
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       mgf_local_time, second_moment_kernel,
                       second_moment_time_factor, two_point_kernel,
-                      two_point_lebesgue, two_point_time_factor)
+                      two_point_time_factor)
 from .local_time import JointLocalTimeLaw
-from .measures import (DensityMeasure, DiracAtoms, GaussianDensity,
-                       GrowthCertificate, LebesgueScaled, mixture_two_point,
-                       parse_measure, two_point)
+from .measures import (DensityMeasure, GrowthCertificate, LebesgueScaled,
+                       closed_two_point, parse_measure, two_point)
 from .simulate import (McConfig, RhoSpec, SpdeGrid, fk_two_point,
                        fk_two_point_occupation, spde_estimate_two_point)
 from .verify import SUITE_NAMES, run_suite
@@ -159,19 +158,6 @@ def _cmd_kernel(args) -> int:
 # two-point / second-moment
 # ---------------------------------------------------------------------------
 
-def _closed_two_point(q: TwoPointQuery, mu, params: KernelParams) -> float:
-    """Closed/specialised evaluation, behind every two-point value the CLI
-    prints (``two-point``, ``second-moment`` and both simulate oracles):
-    exact formulas for Lebesgue, closed forms for atoms, Gaussians and
-    their sums, split-form quadrature otherwise."""
-    if isinstance(mu, LebesgueScaled):
-        return mu.scale * mu.scale * two_point_lebesgue(q, params)
-    if all(isinstance(term, (DiracAtoms, GaussianDensity))
-           for term in mu.primitive_terms()):
-        return mixture_two_point(q, mu, params)
-    return two_point(q, mu, params, formula="split")
-
-
 def _cmd_two_point(args) -> int:
     """``two-point``, and ``second-moment`` as its diagonal x1 = x2 = x
     (reported in one ``x`` column)."""
@@ -189,7 +175,7 @@ def _cmd_two_point(args) -> int:
     if args.method == "quadrature":
         row["value"] = two_point(q, mu, params, formula="direct")
     else:
-        row["value"] = closed = _closed_two_point(q, mu, params)
+        row["value"] = closed = closed_two_point(q, mu, params)
     if args.method == "both":
         quad = two_point(q, mu, params, formula="direct")
         rel = abs(closed - quad) / max(abs(closed), abs(quad), 1e-300)
@@ -276,7 +262,7 @@ def _simulation(engine: str, config: dict, overrides: dict):
         def spde_oracle() -> float:
             if rho.kind != "linear":
                 raise ConfigError("--oracle requires a linear rho preset")
-            return _closed_two_point(q, mu, KernelParams(nu=nu, lam=rho.lam))
+            return closed_two_point(q, mu, KernelParams(nu=nu, lam=rho.lam))
         return mc, spde_oracle, lambda: spde_estimate_two_point(
             q, mu, rho, nu, grid, mc)
 
@@ -300,7 +286,7 @@ def _simulation(engine: str, config: dict, overrides: dict):
         # rotated panels, where it raises QuadratureError.
         if kind != "constant":
             raise ConfigError("--oracle for fk engines requires constant u0")
-        return _closed_two_point(q, u0, KernelParams(nu=nu, lam=lam))
+        return closed_two_point(q, u0, KernelParams(nu=nu, lam=lam))
     if engine == "fk":
         return mc, fk_oracle, lambda: fk_two_point(q, u0, nu, lam, mc)
     if engine == "fk-occupation":

@@ -49,7 +49,8 @@ Measures whose every term is atoms or Gaussian (:class:`GaussianDensity`)
 also have a closed form, :func:`mixture_two_point`: the covariance integral
 of any two components c N(m, V), an atom being V = 0, is one bivariate
 normal CDF term (:func:`~she_moments.gaussian.log_phi2_slope`) assembled in
-log space.
+log space.  :func:`closed_two_point` chooses between it, the Lebesgue
+formula and the split form.
 """
 
 from __future__ import annotations
@@ -64,14 +65,15 @@ from .errors import (DomainError, InadmissibleMeasureError,
                      KernelOverflowError, QuadratureError, SheMomentsError)
 from .gaussian import _LOG_DBL_MAX, heat_kernel, log_phi2_slope
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
-                      require_finite, two_point_kernel, two_point_kernel_at)
+                      require_finite, two_point_kernel, two_point_kernel_at,
+                      two_point_lebesgue)
 from .quadrature import integrate_1d, integrate_panels, integrate_split
 
 __all__ = [
     "GrowthCertificate", "InitialMeasure", "DiracAtoms", "LebesgueScaled",
     "DensityMeasure", "GaussianDensity", "MeasureSum", "gaussian_density",
     "parse_measure", "mean_field", "second_moment", "two_point",
-    "mixture_two_point", "check_membership",
+    "mixture_two_point", "closed_two_point", "check_membership",
 ]
 
 
@@ -307,13 +309,15 @@ def parse_measure(obj: dict) -> InitialMeasure:
             mu = MeasureSum(tuple(parse_measure(t) for t in obj["terms"]))
         else:
             raise InadmissibleMeasureError(f"unknown measure type {kind!r}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        # Malformed entries (an atom without a mass, a non-numeric field)
-        # are measure errors too; the package's own errors pass unchanged.
+    except (TypeError, ValueError, OverflowError, KeyError) as exc:
+        # Malformed entries (an atom without a mass, a non-numeric field, a
+        # missing key) are measure errors too; the package's own errors pass
+        # unchanged.
         if isinstance(exc, SheMomentsError):
             raise
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise InadmissibleMeasureError(
-            f"malformed {kind!r} measure spec: {exc}") from exc
+            f"malformed {kind!r} measure spec: {why}") from exc
     return mu
 
 
@@ -363,6 +367,14 @@ def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
                                     @ m2), "the atom sum")
 
 
+def _query_kernel(kernel: Callable, q: TwoPointQuery, params: KernelParams
+                  ) -> Callable:
+    """``kernel(t, x1 - z1, x2 - z2, x1 - x2, params)`` of the query ``q``,
+    as a function of (z1, z2)."""
+    return lambda z1, z2: kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
+                                 params)
+
+
 def _pair_supports(s1: tuple[float, float], s2: tuple[float, float]):
     """The zbar = (z1+z2)/2 and dz = z2-z1 ranges of z1 in s1, z2 in s2."""
     return ((0.5 * (s1[0] + s2[0]), 0.5 * (s1[1] + s2[1])),
@@ -383,8 +395,7 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
     """
     a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
     if a1 and a2:
-        return _atom_sum(mu1, mu2, lambda z1, z2: two_point_kernel(
-            q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2, params))
+        return _atom_sum(mu1, mu2, _query_kernel(two_point_kernel, q, params))
     if a2:  # (density, atoms) at (x1, x2) is (atoms, density) at (x2, x1)
         return _bilinear_primitive(mu2, mu1, TwoPointQuery(q.t, q.x2, q.x1),
                                    params, abs_tol, rel_tol)
@@ -519,10 +530,7 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
     x2 - z2, x1 - x2) for primitive measures: an array atom sum, or
     panelled Gauss-Legendre over the density variables on their supports.
     The split-form route."""
-    def kernel(z1, z2):
-        return covariance_kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
-                                 params)
-
+    kernel = _query_kernel(covariance_kernel, q, params)
     a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
     if a1 and a2:
         return _atom_sum(mu1, mu2, kernel), 0.0
@@ -684,24 +692,13 @@ def _gaussian_pairs(q: TwoPointQuery, params: KernelParams, pairs) -> float:
     return require_finite(total, "the closed covariance term")
 
 
-def _closed_mean_field(t: float, x: float, mu: InitialMeasure,
-                       nu: float) -> float:
-    """J0(t, x) with a Gaussian term's heat smoothing in closed form,
-    mass * N(x; mean, nu t + var); other terms as in :func:`mean_field`."""
-    if isinstance(mu, GaussianDensity):
-        return mu.mass * heat_kernel(1.0, x - mu.mean, nu * t + mu.var)
-    if isinstance(mu, MeasureSum):
-        return float(sum(_closed_mean_field(t, x, term, nu)
-                         for term in mu.terms))
-    return mean_field(t, x, mu, nu)
-
-
 def mixture_two_point(q: TwoPointQuery, mu: InitialMeasure,
                       params: KernelParams) -> float:
     """E[u(t,x1) u(t,x2)] in closed form for a measure whose every primitive
-    term is atoms or a :class:`GaussianDensity`: J0 J0, an exact kernel sum
-    for each pair of atom terms, and :func:`_gaussian_pairs` over every
-    other pair of components.  The covariance integral is symmetric in its
+    term is atoms or a :class:`GaussianDensity`: J0 J0, a Gaussian term's
+    J0 being mass N(x; mean, nu t + var), an exact kernel sum for each pair
+    of atom terms, and :func:`_gaussian_pairs` over every other pair of
+    components.  The covariance integral is symmetric in its
     two measures, so each unordered pair is taken once, twice weighted.
     ``two_point`` (either formula) is its cross-check."""
     terms = mu.primitive_terms()
@@ -712,16 +709,31 @@ def mixture_two_point(q: TwoPointQuery, mu: InitialMeasure,
              for g in gauss]
     for i, g1 in enumerate(gauss):
         pairs += [(1.0, g1, g1)] + [(2.0, g1, g2) for g2 in gauss[i + 1:]]
-
-    def kernel(z1, z2):
-        return covariance_kernel(q.t, q.x1 - z1, q.x2 - z2, q.x1 - q.x2,
-                                 params)
-
-    j0j0 = (_closed_mean_field(q.t, q.x1, mu, params.nu)
-            * _closed_mean_field(q.t, q.x2, mu, params.nu))
-    value = j0j0 + sum(_atom_sum(a1, a2, kernel) for a1 in atoms
-                       for a2 in atoms)
+    t, nu = q.t, params.nu
+    j0 = [sum(term.mass * heat_kernel(1.0, x - term.mean, nu * t + term.var)
+              if isinstance(term, GaussianDensity)
+              else mean_field(t, x, term, nu) for term in terms)
+          for x in (q.x1, q.x2)]
+    kernel = _query_kernel(covariance_kernel, q, params)
+    value = j0[0] * j0[1] + sum(_atom_sum(a1, a2, kernel) for a1 in atoms
+                                for a2 in atoms)
     return value + _gaussian_pairs(q, params, pairs) if pairs else value
+
+
+def closed_two_point(q: TwoPointQuery, mu: InitialMeasure,
+                     params: KernelParams) -> float:
+    """E[u(t,x1) u(t,x2)] in closed form where there is one, behind every
+    two-point value the CLI prints (``two-point``, ``second-moment`` and
+    both simulate oracles): the Lebesgue formula for Lebesgue data,
+    :func:`mixture_two_point` when every primitive term is atoms or a
+    :class:`GaussianDensity`, and the split form of :func:`two_point`
+    otherwise."""
+    if isinstance(mu, LebesgueScaled):
+        return mu.scale * mu.scale * two_point_lebesgue(q, params)
+    if all(isinstance(term, (DiracAtoms, GaussianDensity))
+           for term in mu.primitive_terms()):
+        return mixture_two_point(q, mu, params)
+    return two_point(q, mu, params, formula="split")
 
 
 def second_moment(t: float, x: float, mu: InitialMeasure,

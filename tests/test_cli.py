@@ -231,6 +231,14 @@ class TestSimulateCommand:
                              "--config", str(cfg))
         assert code == 2
 
+    def test_boundary_contamination_exit_2(self, capsys, tmp_path):
+        config = dict(SPDE_CONFIG, t=0.3,
+                      measure={"type": "atoms", "atoms": [[1.0, 1.0]]},
+                      grid={"L": 3.3, "dx": 0.05, "dt": 0.00125})
+        code, out, err = _simulate(capsys, tmp_path, "spde", config)
+        assert (code, out) == (2, "")
+        assert "boundary contamination" in err
+
     @pytest.mark.parametrize("measure", [
         {"type": "gaussian", "mean": 0.1, "var": 0.3},
         {"type": "sum", "terms": [
@@ -312,7 +320,9 @@ class TestNonFiniteInputs:
         ({"type": "gaussian", "mean": 0.0, "var": float("inf")}, [], 4),
         ({"type": "atoms", "atoms": [[0.0, float("inf")]]}, [], 4),
         ({"type": "lebesgue", "scale": 1.0}, ["--x1", "nan"], 3),
-    ], ids=["nan_scale", "inf_nu", "inf_var", "inf_mass", "nan_x1"])
+        ({"type": "gaussian", "mean": 0.0, "var": 1e-320}, [], 3),
+    ], ids=["nan_scale", "inf_nu", "inf_var", "inf_mass", "nan_x1",
+            "subnormal_var"])
     def test_rejected_with_exit_code(self, capsys, tmp_path, measure, extra,
                                      want):
         path = tmp_path / "mu.json"
@@ -687,8 +697,15 @@ class TestJsonNumbers:
         {"type": "atoms", "atoms": [["0", 1]]},
         {"type": "gaussian", "mean": 0.0, "var": "1"},
         {"type": "lebesgue", "scale": 10 ** 400},
+        {"type": "atoms"},
+        {"type": "gaussian", "mean": 0},
+        {"type": "sum"},
+        {"type": "sum", "terms": [{"type": "atoms"}]},
+        {"type": "sum", "terms": [{"type": "gaussian", "mean": 0}]},
+        {"type": "sum", "terms": [{"type": "sum"}]},
     ], ids=["string_scale", "bool_scale", "bool_mass", "string_location",
-            "string_var", "int_beyond_double"])
+            "string_var", "int_beyond_double", "no_atoms", "no_var",
+            "no_terms", "term_no_atoms", "term_no_var", "term_no_terms"])
     def test_measure_exit_4_without_output(self, capsys, tmp_path, measure):
         path = tmp_path / "mu.json"
         path.write_text(json.dumps(measure))

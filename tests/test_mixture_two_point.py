@@ -1,6 +1,6 @@
 """The closed two-point route for atoms, Gaussians and their sums
-(``measures.mixture_two_point``, behind ``cli._closed_two_point``) and the
-bivariate normal CDF it rests on (``gaussian.log_phi2``).
+(``measures.mixture_two_point``, behind ``measures.closed_two_point``) and
+the bivariate normal CDF it rests on (``gaussian.log_phi2``).
 
 The references were computed once with mpmath at 40 digits and are pinned
 here.  ``log_phi2``: the log of ∫_{-inf}^h phi(x) Phi((k - r x) /
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from she_moments import cli
+from she_moments import cli, measures
 from she_moments.errors import DomainError, KernelOverflowError
 from she_moments.gaussian import log_phi2
 from she_moments.kernels import (KernelParams, TwoPointQuery,
@@ -262,9 +262,17 @@ def test_cli_takes_the_closed_route_for_atoms_and_gaussians(monkeypatch,
                                                              tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("the split form was called")
-    monkeypatch.setattr(cli, "two_point", refuse)
+    monkeypatch.setattr(measures, "two_point", refuse)
     for measure in (_g(0.2, 0.9), _sum(_atoms((-0.6, 1.1)), _g(0.4, 0.6))):
         assert _cli(tmp_path, measure)[0] == 0
+
+
+def test_zero_mass_gaussian_term_changes_nothing(tmp_path):
+    terms = [_atoms((-0.6, 1.1)), _g(0.4, 0.6)]
+    value = _cli(tmp_path, _sum(*terms))[1]["value"]
+    for at in range(len(terms) + 1):
+        with_zero = terms[:at] + [_g(1.3, 0.2, 0.0)] + terms[at:]
+        assert _cli(tmp_path, _sum(*with_zero))[1]["value"] == value
 
 
 def test_gaussian_density_reads_as_before():

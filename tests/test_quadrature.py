@@ -352,12 +352,10 @@ def test_narrow_gaussian_prints_its_value_from_the_cli(tmp_path, capsys):
 
 def test_quadrature_error_exits_3_from_the_cli(tmp_path, capsys,
                                                monkeypatch):
-    from she_moments import cli
-
     def refuse(*args, **kwargs):
         raise QuadratureError("panel quadrature did not converge",
                               achieved=1.0, requested=1e-10)
-    monkeypatch.setattr(cli, "two_point", refuse)
+    monkeypatch.setattr(measures, "two_point", refuse)
     # Atoms and Gaussians alone take the closed route; a Lebesgue term keeps
     # the measure on the quadrature route.
     code = _two_point_cli(tmp_path, {"type": "sum", "terms": [

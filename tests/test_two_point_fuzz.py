@@ -4,10 +4,12 @@ which the CLI evaluates in closed form.
 The first test draws measures and flags from extreme doubles as well as
 moderate values: whatever the request, it must end in a documented exit
 code without raising or warning, print nothing on failure, and print a
-finite value on success.  The second draws moderate, nonnegative measures
-(so that no term cancels another) and checks relations that need no
-oracle: the swap x1 <-> x2, a common shift of every location and both
-points, the scaling of the masses, and Brownian scaling.
+finite value on success; ``second-moment --x x1`` must end as ``two-point
+--x1 x1 --x2 x1`` does, with the same value to the last bit.  The second
+draws moderate, nonnegative measures (so that no term cancels another) and
+checks relations that need no oracle: the swap x1 <-> x2, a common shift
+of every location and both points, the scaling of the masses, and
+Brownian scaling.
 """
 
 import csv
@@ -28,18 +30,18 @@ EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DOMAIN, cli.EXIT_MEASURE,
               cli.EXIT_DIVERGENCE}
 
 
-def _two_point(measure: dict, t, x1, x2, lam, nu=1.0):
-    """(exit code, printed value or None) of one ``two-point`` request."""
+def _request(command: str, measure: dict, t, lam, nu, **points):
+    """(exit code, printed value or None) of one ``two-point`` or
+    ``second-moment`` request at ``points`` (``x1`` and ``x2``, or ``x``)."""
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(measure, fh)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["two-point", "--measure", path] + [
-                f"{flag}={value!r}" for flag, value in (
-                    ("--t", t), ("--x1", x1), ("--x2", x2),
-                    ("--lambda", lam), ("--nu", nu))])
+            code = cli.main([command, "--measure", path] + [
+                f"--{flag}={value!r}" for flag, value in (
+                    ("t", t), *points.items(), ("lambda", lam), ("nu", nu))])
     finally:
         os.unlink(path)
     assert code in EXIT_CODES, err.getvalue()
@@ -50,6 +52,10 @@ def _two_point(measure: dict, t, x1, x2, lam, nu=1.0):
     value = float(row["value"])
     assert math.isfinite(value), row
     return code, value
+
+
+def _two_point(measure: dict, t, x1, x2, lam, nu=1.0):
+    return _request("two-point", measure, t, lam, nu, x1=x1, x2=x2)
 
 
 def _measures(number, var, mass):
@@ -79,6 +85,9 @@ ANY = st.one_of(st.sampled_from(EXTREMES), _moderate(-3.0, 3.0))
        t=ANY, x1=ANY, x2=ANY, lam=ANY, nu=ANY)
 def test_two_point_ends_in_a_documented_exit(measure, t, x1, x2, lam, nu):
     _two_point(measure, t, x1, x2, lam, nu)
+    code, value = _request("second-moment", measure, t, lam, nu, x=x1)
+    diagonal = _two_point(measure, t, x1, x1, lam, nu)
+    assert (code, repr(value)) == (diagonal[0], repr(diagonal[1]))
 
 
 def _rel(a, b):
