@@ -34,9 +34,10 @@ only.  The split form, J0 included, uses panelled Gauss-Legendre
 panel edge sits on the kink (``dz = 0``, or ``z = atom``), and windows
 from the kernels' decay and the growth certificate are cut to the
 support.  The direct form runs nested adaptive QUADPACK on float
-callbacks of ``kernels.two_point_kernel_at``, in pieces broken at each
-atom, at ``dz = 0`` and at ``zbar = xbar``.  Atom sums are one array
-kernel call under both.
+callbacks of ``kernels.two_point_kernel_at``, in pieces cut at each atom,
+at ``dz = 0``, and at the peak of each Gaussian factor of the kernel and
+10 widths either side of it.  Atom sums are one array kernel call under
+both.
 
 Measures parse from a declarative JSON object::
 
@@ -311,8 +312,11 @@ def parse_measure(obj: dict) -> InitialMeasure:
             raise InadmissibleMeasureError(f"unknown measure type {kind!r}")
     except (TypeError, ValueError, OverflowError, KeyError) as exc:
         # Malformed entries (an atom without a mass, a non-numeric field, a
-        # missing key) are measure errors too; the package's own errors pass
-        # unchanged.
+        # missing key) are measure errors too, and so is a spec that a
+        # constructor's domain check refuses (no atoms, no terms, var <= 0);
+        # the package's other errors pass unchanged.
+        if isinstance(exc, DomainError):
+            raise InadmissibleMeasureError(str(exc)) from exc
         if isinstance(exc, SheMomentsError):
             raise
         why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -381,6 +385,30 @@ def _pair_supports(s1: tuple[float, float], s2: tuple[float, float]):
             (s2[0] - s1[1], s2[1] - s1[0]))
 
 
+# The direct route cuts each Gaussian factor of K_star at its peak and at
+# this many widths either side of it.
+_PEAK_WIDTHS = 10.0
+
+
+def _peak_cuts(a: float, b: float, *factors: tuple[float, float]
+               ) -> list[float]:
+    """Cut points for Gaussian factors ``(peak, width)`` integrated over
+    [a, b]: each peak and peak ± _PEAK_WIDTHS widths, so that QUADPACK's
+    first nodes on a long piece cannot step over a narrow spike.  A factor
+    with its peak in [a, b] whose reach rounds away (peak + 10 widths ==
+    peak) is narrower than the spacing of doubles there, where no rule can
+    see it: QuadratureError."""
+    cuts = []
+    for peak, width in factors:
+        reach = _PEAK_WIDTHS * width
+        if a <= peak <= b and not peak - reach < peak < peak + reach:
+            raise QuadratureError(
+                f"a Gaussian factor of the kernel, width {width:.3g} at "
+                f"{peak!r}, is narrower than the spacing of doubles there")
+        cuts += [peak - reach, peak, peak + reach]
+    return cuts
+
+
 def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
                         q: TwoPointQuery, params: KernelParams,
                         abs_tol: float, rel_tol: float) -> float:
@@ -389,9 +417,13 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
     route.
 
     Atom pairs sum in one array kernel call.  The QUADPACK callbacks
-    evaluate the query-bound float kernel over the densities' supports: in
-    the density variable, broken at each atom (the kink), and otherwise in
-    rotated coordinates, outer zbar broken at xbar, inner dz at dz = 0.
+    evaluate the query-bound float kernel over the densities' supports, cut
+    at every kink and at each Gaussian factor's peak ± 10 widths
+    (:func:`_peak_cuts`).  Against an atom at ``loc`` the density variable
+    z has a kink at loc, G_nu(t, x2 - z) peaks at x2 and K_dag's factor at
+    x1 + x2 - loc.  Otherwise the rotated coordinates have the outer factor
+    G_{nu/2}(t, xbar - zbar) and, inside, G_{2 nu}(t, dx - dz) with K_dag's
+    kink at dz = 0.
     """
     a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
     if a1 and a2:
@@ -400,25 +432,31 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
         return _bilinear_primitive(mu2, mu1, TwoPointQuery(q.t, q.x2, q.x1),
                                    params, abs_tol, rel_tol)
     point_kernel = two_point_kernel_at(q, params)
+    var = params.nu * q.t
     f2 = mu2.f
     if a1:
-        return sum(m * integrate_split(lambda z: f2(z) * point_kernel(loc, z),
-                                       *mu2.support, loc, abs_tol, rel_tol)
-                   for loc, m in mu1.atoms)
+        return sum(m * integrate_split(
+            lambda z: f2(z) * point_kernel(loc, z), *mu2.support, loc,
+            *_peak_cuts(*mu2.support, (q.x2, math.sqrt(var)),
+                        (q.x1 + q.x2 - loc, math.sqrt(2.0 * var))),
+            abs_tol=abs_tol, rel_tol=rel_tol)
+            for loc, m in mu1.atoms)
 
     f1 = mu1.f
     bar_range, sep_range = _pair_supports(mu1.support, mu2.support)
+    sep_cuts = _peak_cuts(*sep_range, (q.dx, math.sqrt(2.0 * var)))
+    bar_cuts = _peak_cuts(*bar_range, (q.x_bar, math.sqrt(0.5 * var)))
 
     def outer_integrand(zbar: float) -> float:
         def inner(dz: float) -> float:
             z1 = zbar - 0.5 * dz
             z2 = zbar + 0.5 * dz
             return f1(z1) * f2(z2) * point_kernel(z1, z2)
-        return integrate_split(inner, *sep_range, 0.0, abs_tol / 10,
-                               rel_tol / 10)
+        return integrate_split(inner, *sep_range, 0.0, *sep_cuts,
+                               abs_tol=abs_tol / 10, rel_tol=rel_tol / 10)
 
-    return integrate_split(outer_integrand, *bar_range, q.x_bar, abs_tol,
-                           rel_tol)
+    return integrate_split(outer_integrand, *bar_range, *bar_cuts,
+                           abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 # Panel windows drop what lies beyond e^-_TAIL (~4e-18) of a factor's peak.
@@ -476,7 +514,9 @@ def _graded_edges(support: tuple[float, float], windows, kink: float,
     ``(centre, half-width)``, or None if that is empty: an edge at
     ``kink`` (clipped into [lo, hi]), then widths ``first, 2 first, ...``
     away from it both ways, none wider than ``widest`` or
-    ``(hi - lo) / _MIN_PANELS``."""
+    ``(hi - lo) / _MIN_PANELS``.  A side ends at its end point where a
+    width is too small to move an edge (below half the spacing of doubles
+    there)."""
     lo = max(support[0], *(c - w for c, w in windows))
     hi = min(support[1], *(c + w for c, w in windows))
     if not lo < hi:
@@ -487,9 +527,10 @@ def _graded_edges(support: tuple[float, float], windows, kink: float,
     for end, sign in ((hi, 1.0), (lo, -1.0)):
         x, width = kink, min(first, widest)
         while sign * (end - x) > 0:
-            x = x + sign * width
-            if sign * (x - end) >= -0.25 * width:
-                x = end
+            step = x + sign * width
+            if step == x or sign * (step - end) >= -0.25 * width:
+                step = end
+            x = step
             edges.append(x)
             width = min(2.0 * width, widest)
     return np.unique(edges)
@@ -517,9 +558,12 @@ class _SplitKernelScales:
 
     def log_sep(self, r: float) -> float:
         """Upper bound of log K(|dz| = r) / K(dz = 0).  exp(-rate r) bounds
-        the exponential; for Phi, d/du -log Phi(-u) >= max(u, 0)."""
-        d0 = self.d0
-        gauss = max(0.0, r / self.s - d0) ** 2 - max(0.0, -d0) ** 2
+        the exponential; for Phi, d/du -log Phi(-u) >= max(u, 0).  The
+        Gaussian part, max(0, u - d0)² - max(0, -d0)² at u = r/s, is
+        u (u - 2 d0) for d0 <= 0: the difference of squares would round
+        to 0 where -d0 >> u."""
+        d0, u = self.d0, r / self.s
+        gauss = u * (u - 2.0 * d0) if d0 <= 0 else max(0.0, u - d0) ** 2
         return -self.rate * r - 0.5 * gauss
 
 

@@ -184,7 +184,7 @@ def laplace_numeric(time_fn: Callable[[float], float], z: float,
     head_val = _from_origin(lambda t: np.exp(-z * t), time_fn, np.sqrt(t0),
                             abs_tol=1e-11, rel_tol=1e-10)
     tail_val = integrate_1d(lambda t: np.exp(-z * t) * time_fn(t), t0, t_max,
-                            abs_tol=1e-11, rel_tol=1e-10, limit=400)
+                            abs_tol=1e-11, rel_tol=1e-10)
     return head_val + tail_val
 
 

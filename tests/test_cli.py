@@ -703,9 +703,15 @@ class TestJsonNumbers:
         {"type": "sum", "terms": [{"type": "atoms"}]},
         {"type": "sum", "terms": [{"type": "gaussian", "mean": 0}]},
         {"type": "sum", "terms": [{"type": "sum"}]},
+        {"type": "atoms", "atoms": []},
+        {"type": "sum", "terms": []},
+        {"type": "gaussian", "mean": 0, "var": 0},
+        # The +-8 sd support collapses to one double.
+        {"type": "gaussian", "mean": 1e300, "var": 1},
     ], ids=["string_scale", "bool_scale", "bool_mass", "string_location",
             "string_var", "int_beyond_double", "no_atoms", "no_var",
-            "no_terms", "term_no_atoms", "term_no_var", "term_no_terms"])
+            "no_terms", "term_no_atoms", "term_no_var", "term_no_terms",
+            "empty_atoms", "empty_sum", "zero_var", "support_collapses"])
     def test_measure_exit_4_without_output(self, capsys, tmp_path, measure):
         path = tmp_path / "mu.json"
         path.write_text(json.dumps(measure))

@@ -2,16 +2,19 @@
 K_star, the independent oracle behind `verify`, `two-point --method
 quadrature|both` and the benchmark's post-check."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from she_moments.errors import KernelOverflowError
+from she_moments.cli import main
+from she_moments.errors import KernelOverflowError, QuadratureError
 from she_moments.kernels import (KernelParams, TwoPointQuery,
                                  two_point_kernel, two_point_kernel_at)
 from she_moments.measures import (DiracAtoms, LebesgueScaled, MeasureSum,
-                                  gaussian_density, two_point)
+                                  closed_two_point, gaussian_density,
+                                  two_point)
 
 
 def _rel(a, b):
@@ -93,3 +96,73 @@ def test_atom_density_terms_break_at_the_atom():
     params = KernelParams(nu=1.0, lam=0.8553251057646196)
     assert _rel(two_point(q, mu, params, formula="direct"),
                 two_point(q, mu, params, formula="split")) <= 1e-9
+
+
+# At small t every Gaussian factor of K_star is a spike of width ~sqrt(nu t)
+# at a point where no kink is: a long QUADPACK piece would step over it.
+SMALL_T_MEASURES = {
+    "lebesgue": LebesgueScaled(1.0),
+    "gaussian": gaussian_density(0.0, 1.0),
+    "atom_gaussian": MeasureSum((DiracAtoms(((0.0, 1.0),)),
+                                 gaussian_density(0.0, 1.0))),
+    "two_atoms": DiracAtoms(((0.0, 1.0), (0.5, 0.5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_T_MEASURES))
+def test_closed_and_direct_agree_at_small_t(name):
+    mu = SMALL_T_MEASURES[name]
+    params = KernelParams(nu=1.0, lam=1.0)
+    worst = {}
+    for k in range(2, 13):
+        for dx in (0.0, 0.5, 2.0):
+            q = TwoPointQuery(t=10.0 ** -k, x1=0.0, x2=dx)
+            worst[(k, dx)] = _rel(closed_two_point(q, mu, params),
+                                  two_point(q, mu, params, formula="direct"))
+    assert max(worst.values()) <= 1e-9, worst
+
+
+def _cli(capsys, tmp_path, measure, *argv):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(measure))
+    code = main([argv[0], "--measure", str(path), *argv[1:]])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _column(out, name):
+    header, row = out.splitlines()
+    return float(row.split(",")[header.split(",").index(name)])
+
+
+@pytest.mark.parametrize("measure,argv,value", [
+    ({"type": "lebesgue", "scale": 1},
+     ["two-point", "--t", "1e-4", "--x1", "0", "--x2", "2"], 1.0),
+    ({"type": "gaussian", "mean": 0, "var": 1},
+     ["two-point", "--t", "1e-3", "--x1", "0", "--x2", "2"], None),
+    ({"type": "gaussian", "mean": 0, "var": 1},
+     ["second-moment", "--t", "1e-6", "--x", "0"], None),
+], ids=["lebesgue", "gaussian", "second_moment"])
+def test_small_t_queries_from_the_cli(capsys, tmp_path, measure, argv, value):
+    code, out, _ = _cli(capsys, tmp_path, measure, *argv, "--method", "both")
+    assert code == 0
+    assert _column(out, "rel_diff") <= 1e-9
+    if value is not None:
+        code, out, _ = _cli(capsys, tmp_path, measure, *argv,
+                            "--method", "quadrature")
+        assert code == 0
+        assert _rel(_column(out, "value"), value) <= 1e-9
+
+
+def test_a_factor_below_double_resolution_is_refused(capsys, tmp_path):
+    # At t = 1e-100 the inner factor G_{2 nu}(t, dx - dz) is 1.4e-50 wide at
+    # dz = 0.5, where doubles are 1.1e-16 apart: no rule can see it.
+    with pytest.raises(QuadratureError, match="narrower than the spacing"):
+        two_point(TwoPointQuery(1e-100, 0.0, 0.5), LebesgueScaled(1.0),
+                  KernelParams(nu=1.0, lam=1.0), formula="direct")
+    code, out, err = _cli(capsys, tmp_path, {"type": "lebesgue", "scale": 1},
+                          "two-point", "--t", "1e-100", "--x1", "0",
+                          "--x2", "0.5", "--method", "quadrature")
+    assert code == 3
+    assert out == ""
+    assert "narrower than the spacing" in err

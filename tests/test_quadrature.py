@@ -332,6 +332,71 @@ class TestSupports:
         assert CAUCHY.support == (-math.inf, math.inf)
 
 
+class TestRelations:
+    """Relations that need no oracle, on the split and direct routes, for an
+    atom plus a Gaussian at t = 1, (x1, x2) = (0, 0.5), lambda = 1."""
+
+    @staticmethod
+    def value(c, formula, swap=False):
+        # Brownian scaling by c: t -> c² t, x -> c x, lambda² -> lambda² / c,
+        # locations and means times c, variances times c², masses kept.
+        mu = MeasureSum((DiracAtoms(((0.2 * c, 1.0),)),
+                         gaussian_density(0.1 * c, 0.8 * c * c)))
+        x1, x2 = (0.5 * c, 0.0) if swap else (0.0, 0.5 * c)
+        return two_point(TwoPointQuery(c * c, x1, x2), mu,
+                         KernelParams(nu=1.0, lam=1.0 / math.sqrt(c)),
+                         formula=formula)
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.1, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("formula", ["split", "direct"])
+    def test_brownian_scaling(self, c, formula):
+        assert _rel(c * c * self.value(c, formula),
+                    self.value(1.0, formula)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 10.0])
+    @pytest.mark.parametrize("formula", ["split", "direct"])
+    def test_observation_swap(self, c, formula):
+        assert _rel(self.value(c, formula, swap=True),
+                    self.value(c, formula)) <= 1e-12
+
+
+class TestKernelNarrowerThanDoubles:
+    """The split form on Lebesgue-plus-atom data where the kernel's widths
+    sqrt(nu t) are tiny against the separation or the distance from the
+    origin.  Both once allocated panels without bound."""
+
+    def test_separation_window_keeps_its_gaussian_decay(self):
+        # d0 = -3.5e29: max(0, u - d0)² - d0² rounded to 0 for every u, and
+        # the window came out ~1e14 kernel widths wide.
+        sc = measures._SplitKernelScales(TwoPointQuery(1e-60, 0.0, 0.5),
+                                         KernelParams(nu=1.0, lam=1.0))
+        assert sc.log_sep(sc.s) < -1e29
+        assert measures._tail_radius(sc.log_sep, sc.s) < sc.s
+
+    @pytest.mark.parametrize("lo,want", [
+        (1000.0, [1000.0, 1000.0 + 1e-12]),
+        (1000.0 - 1e-12, [1000.0 - 1e-12, 1000.0, 1000.0 + 1e-12])])
+    def test_panels_end_where_a_width_cannot_move_an_edge(self, lo, want):
+        # 1e-15 is below half the spacing of doubles at 1000 (1.1e-13).
+        edges = measures._graded_edges((lo, 1000.0 + 1e-12),
+                                       ((1000.0, 1.0),), 1000.0, 1e-15, 1e-15)
+        assert edges.tolist() == want
+
+    @pytest.mark.parametrize("t,loc,x1,x2", [
+        (1e-60, 0.0, 0.0, 0.5), (1e-300, 0.0, 0.0, 0.5),
+        (1e-28, 1e3, 1e3, 1e3), (1e-22, 1e6, 1e6, 1e6),
+        (1e-18, 1e8, 1e8, 1e8)])
+    def test_lebesgue_sum_value(self, t, loc, x1, x2):
+        # J0 J0 plus the atom pair's covariance term; the Lebesgue terms'
+        # covariance is O(1), below 1e-16 of it.
+        mu = MeasureSum((LebesgueScaled(1.0), DiracAtoms(((loc, 1.0),))))
+        params = KernelParams(nu=1.0, lam=1.0)
+        want = (mean_field(t, x1, mu, 1.0) * mean_field(t, x2, mu, 1.0)
+                + covariance_kernel(t, x1 - loc, x2 - loc, x1 - x2, params))
+        got = measures.closed_two_point(TwoPointQuery(t, x1, x2), mu, params)
+        assert _rel(got, float(want)) <= 1e-12
+
+
 def _two_point_cli(tmp_path, measure, *extra):
     path = tmp_path / "mu.json"
     path.write_text(json.dumps(measure))
