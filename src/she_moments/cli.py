@@ -8,8 +8,9 @@ Conventions:
   number), so table shapes are deterministic;
 * CSV output is RFC-4180 (CRLF rows); JSON output has sorted keys;
 * every stochastic output embeds a manifest (command, full config echo,
-  seed, library version, timestamp); rerunning from the manifest
-  reproduces the value fields bit-exactly;
+  seed, library version, bit generator, timestamp); rerunning from the
+  manifest with the same library version reproduces the value fields
+  bit-exactly, and another version refuses it;
 * exit codes: 0 ok, 1 verification failure, 2 usage/config, 3 domain,
   4 inadmissible measure, 5 divergence.
 
@@ -41,6 +42,7 @@ from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
 from .local_time import JointLocalTimeLaw
 from .measures import (DensityMeasure, GrowthCertificate, LebesgueScaled,
                        closed_two_point, parse_measure, two_point)
+from .rng import BIT_GENERATORS, DOMAIN_FK, DOMAIN_FK_OCC, DOMAIN_SPDE
 from .simulate import (McConfig, RhoSpec, SpdeGrid, fk_two_point,
                        fk_two_point_occupation, spde_estimate_two_point)
 from .verify import SUITE_NAMES, run_suite
@@ -110,12 +112,14 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _manifest(command: str, config_echo: dict, seed: int | None) -> dict:
+def _manifest(command: str, config_echo: dict, seed: int | None,
+              bit_generator: str) -> dict:
     return {
         "command": command,
         "config_echo": config_echo,
         "seed": seed,
         "library_version": __version__,
+        "bit_generator": bit_generator,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -296,12 +300,23 @@ def _simulation(engine: str, config: dict, overrides: dict):
     raise ConfigError(f"unknown engine {engine!r}")
 
 
+# The random-stream domain each engine draws from.
+_ENGINE_DOMAINS = {"spde": DOMAIN_SPDE, "fk": DOMAIN_FK,
+                   "fk-occupation": DOMAIN_FK_OCC}
+
+
 def _cmd_simulate(args) -> int:
     if args.from_manifest:
         previous = _read_json(args.from_manifest)
         if not isinstance(previous, dict):
             raise ConfigError(f"a run file must be an object, got {previous!r}")
         manifest = _section(previous, "manifest")
+        # Another version may draw other streams: its run would not repeat.
+        version = manifest.get("library_version")
+        if version != __version__:
+            raise ConfigError(f"the run file was made by library version "
+                              f"{version!r}; this is {__version__!r}, which "
+                              "cannot rerun it exactly")
         echo = _section(manifest, "config_echo")
         engine, config, seed = echo["engine"], echo["config"], manifest["seed"]
     else:
@@ -328,7 +343,8 @@ def _cmd_simulate(args) -> int:
         "n": estimate.n,
         "divergent_paths": estimate.n_divergent,
         "config_echo": echo,
-        "manifest": _manifest("simulate", echo, mc.seed),
+        "manifest": _manifest("simulate", echo, mc.seed,
+                              BIT_GENERATORS[_ENGINE_DOMAINS[engine]]),
     }
     if oracle_value is not None:
         # With no spread there is nothing to scale the difference by.

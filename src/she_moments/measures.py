@@ -480,6 +480,8 @@ def _tail_radius(log_ratio: Callable[[float], float], scale: float) -> float:
     lo = 0.0 if hi == scale else 0.5 * hi
     while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no double between them (hi subnormal)
+            break
         if log_ratio(mid) > -_TAIL:
             lo = mid
         else:
@@ -634,6 +636,15 @@ def _bilinear(mu: InitialMeasure,
     return sum(primitive(t1, t2) for t1 in terms for t2 in terms)
 
 
+def _check_nu_t(q: TwoPointQuery, params: KernelParams) -> None:
+    """Refuse a query whose variance scale nu * t underflows to 0 or
+    overflows: every kernel divides by it or by its square root."""
+    nu_t = params.nu * q.t
+    if not (0.0 < nu_t < math.inf):
+        raise DomainError(f"a two-point query requires 0 < nu * t < inf, "
+                          f"got {params.nu} * {q.t}")
+
+
 def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
               formula: str = "split") -> float:
     """E[u(t,x1) u(t,x2)] for a general admissible initial measure.
@@ -647,6 +658,7 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
     off the panel edges (an indicator, say) makes the split form raise
     QuadratureError rather than miss its tolerance.
     """
+    _check_nu_t(q, params)
     abs_tol, rel_tol = 1e-10, 1e-9
     if formula == "split":
         j0j0 = (mean_field(q.t, q.x1, mu, params.nu)
@@ -772,6 +784,7 @@ def closed_two_point(q: TwoPointQuery, mu: InitialMeasure,
     :func:`mixture_two_point` when every primitive term is atoms or a
     :class:`GaussianDensity`, and the split form of :func:`two_point`
     otherwise."""
+    _check_nu_t(q, params)
     if isinstance(mu, LebesgueScaled):
         return mu.scale * mu.scale * two_point_lebesgue(q, params)
     if all(isinstance(term, (DiracAtoms, GaussianDensity))

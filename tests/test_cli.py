@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from she_moments import cli
+from she_moments import __version__, cli
 from she_moments.cli import build_parser, main
 from she_moments.gaussian import heat_kernel
 from she_moments.kernels import (KernelParams, TwoPointQuery, mgf_local_time,
@@ -631,6 +631,36 @@ class TestSimulateConfigBoundary:
         assert out == ""
         assert "nu > 0" in err
 
+    @pytest.mark.parametrize("engine,base,name", [
+        ("spde", SPDE_CONFIG, "SFC64"),
+        ("fk", FK_CONFIG, "Philox4x64-10"),
+        ("fk-occupation", dict(FK_CONFIG, eps=0.01, n_steps=10), "SFC64"),
+    ], ids=["spde", "fk", "fk_occupation"])
+    def test_manifest_names_its_bit_generator(self, capsys, tmp_path, engine,
+                                              base, name):
+        code, out, _ = _simulate(capsys, tmp_path, engine, base)
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert manifest["bit_generator"] == name
+        assert manifest["library_version"] == __version__
+
+    @pytest.mark.parametrize("version", ["0.3.0", None],
+                             ids=["older", "missing"])
+    def test_rerun_of_another_version_exit_2(self, capsys, tmp_path,
+                                             version):
+        # Another version may draw other streams, so its run cannot be
+        # repeated exactly.
+        code, out, _ = _simulate(capsys, tmp_path, "spde", SPDE_CONFIG)
+        assert code == 0
+        previous = json.loads(out)
+        previous["manifest"]["library_version"] = version
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(previous))
+        code, out, err = run_cli(capsys, "simulate", "--from-manifest",
+                                 str(path))
+        assert (code, out) == (2, "")
+        assert repr(version) in err and repr(__version__) in err
+
 
 class TestNonFiniteOutput:
     @pytest.mark.parametrize("measure", [
@@ -651,6 +681,27 @@ class TestNonFiniteOutput:
         assert code == 3
         assert out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("measure,argv", [
+        ({"type": "lebesgue", "scale": 1},
+         ["--t", "1e-320", "--x1", "0", "--x2", "1", "--nu", "1e-20"]),
+        ({"type": "gaussian", "mean": 0, "var": 1},
+         ["--t", "1e-320", "--x1", "0", "--x2", "1", "--nu", "1e-20",
+          "--method", "quadrature"]),
+        ({"type": "lebesgue", "scale": 1},
+         ["--t", "2.65", "--x1", "2.93", "--x2", "1.47", "--lambda", "2",
+          "--nu", "1e308", "--method", "quadrature"]),
+    ], ids=["underflow_lebesgue", "underflow_gaussian_direct",
+            "overflow_lebesgue_direct"])
+    def test_nu_t_out_of_range_exit_3(self, capsys, tmp_path, measure, argv):
+        # nu * t underflowing to 0 divided by zero in the kernels; at inf
+        # the direct route printed 0.0.
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(measure))
+        code, out, err = run_cli(capsys, "two-point", "--measure", str(path),
+                                 *argv)
+        assert (code, out) == (3, "")
+        assert "0 < nu * t < inf" in err
 
     @pytest.mark.parametrize("which,x", [("H", "0"), ("K", "0"), ("K", "40"),
                                          ("Htilde", "0")])

@@ -373,6 +373,18 @@ class TestKernelNarrowerThanDoubles:
         assert sc.log_sep(sc.s) < -1e29
         assert measures._tail_radius(sc.log_sep, sc.s) < sc.s
 
+    def test_tail_radius_below_the_smallest_subnormal_returns(self):
+        # The radius lies between 0 and 5e-324, where the midpoint rounds
+        # to 0 and the bisection never ended.  About 1,100 halvings reach
+        # 5e-324 from 1e-100; a call budget bounds the test's time.
+        calls = []
+
+        def log_ratio(r):
+            calls.append(r)
+            assert len(calls) < 10_000, "the bisection does not end"
+            return 0.0 if r == 0 else -math.inf
+        assert measures._tail_radius(log_ratio, 1e-100) == 5e-324
+
     @pytest.mark.parametrize("lo,want", [
         (1000.0, [1000.0, 1000.0 + 1e-12]),
         (1000.0 - 1e-12, [1000.0 - 1e-12, 1000.0, 1000.0 + 1e-12])])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from she_moments.rng import (DOMAIN_FK, DOMAIN_SPDE, path_generator, path_key,
+from she_moments.rng import (BIT_GENERATORS, DOMAIN_FK, DOMAIN_FK_OCC,
+                             DOMAIN_SPDE, path_generator, path_key,
                              uniforms_at)
 
 MAX64 = 2**64 - 1
@@ -117,3 +118,44 @@ class TestPathStreams:
         u = uniforms_at(3, DOMAIN_SPDE, 0, 50_000, 4).ravel()
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.002
+
+
+class TestSequentialStreams:
+    """``path_generator``: SFC64 seeded through ``SeedSequence`` by the two
+    words of the path's key."""
+
+    @pytest.mark.parametrize("seed,domain,index", [
+        (0, DOMAIN_SPDE, 0), (9, DOMAIN_SPDE, 5), (2**63 + 1, DOMAIN_FK_OCC, 7),
+        (1011, DOMAIN_SPDE, 19_999)])
+    def test_known_answer(self, seed, domain, index):
+        key = path_key(seed, domain, index)
+        want = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence([int(w) for w in key])))
+        got = path_generator(seed, domain, index)
+        assert isinstance(got.bit_generator, np.random.SFC64)
+        assert np.array_equal(got.standard_normal(64),
+                              want.standard_normal(64))
+        assert np.array_equal(got.bit_generator.random_raw(8),
+                              want.bit_generator.random_raw(8))
+
+    def test_distinct_seeds_domains_and_paths(self):
+        keys = [(s, d, i) for s in (0, 1, 2**40) for d in BIT_GENERATORS
+                for i in (0, 1, 2, 1000)]
+        firsts = {path_generator(*k).bit_generator.random_raw(4).tobytes()
+                  for k in keys}
+        assert len(firsts) == len(keys)
+
+    def test_first_normals_across_paths(self):
+        # The first normal of each of 10^4 paths: its mean, its variance and
+        # the correlation of paths i and i + 1, each within 5 sigma.
+        n = 10_000
+        z = np.array([path_generator(4, DOMAIN_SPDE, i).standard_normal()
+                      for i in range(n)])
+        assert abs(z.mean()) < 5.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+        assert abs(np.mean(z[:-1] * z[1:])) < 5.0 / np.sqrt(n - 1)
+
+    def test_bit_generator_names(self):
+        assert BIT_GENERATORS == {DOMAIN_SPDE: "SFC64",
+                                  DOMAIN_FK_OCC: "SFC64",
+                                  DOMAIN_FK: "Philox4x64-10"}

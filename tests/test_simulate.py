@@ -133,15 +133,15 @@ class TestSpdeEstimator:
         assert abs(est.value - oracle) < tol
 
     def test_worker_count_does_not_change_result(self):
+        # 150 paths in batches of 7 and 64 leave short last batches (3 and
+        # 22 paths).
         grid, q = self._setup()
-        mc1 = McConfig(n_paths=300, seed=9, batch_size=64, workers=1)
-        mc4 = McConfig(n_paths=300, seed=9, batch_size=64, workers=4)
-        e1 = spde_estimate_two_point(q, LebesgueScaled(1.0),
-                                     RhoSpec.linear(1.0), 1.0, grid, mc1)
-        e4 = spde_estimate_two_point(q, LebesgueScaled(1.0),
-                                     RhoSpec.linear(1.0), 1.0, grid, mc4)
-        assert e1.value == e4.value
-        assert e1.std_error == e4.std_error
+        estimates = {spde_estimate_two_point(
+            q, LebesgueScaled(1.0), RhoSpec.linear(1.0), 1.0, grid,
+            McConfig(n_paths=150, seed=9, batch_size=batch, workers=workers))
+            for workers in (1, 2, 4) for batch in (7, 64)}
+        assert len(estimates) == 1
+        assert next(iter(estimates)).std_error > 0
 
     def test_zero_coupling_zero_variance(self):
         grid, q = self._setup()
@@ -278,6 +278,16 @@ class TestOccupationEngine:
                                       eps=1e-3, n_steps=10_000)
         oracle = two_point_lebesgue(q, P11)
         assert abs(est.value - oracle) / oracle < 0.08
+
+    def test_identical_for_any_worker_count_and_batch_split(self):
+        q = TwoPointQuery(t=0.7, x1=-0.2, x2=0.5)
+        estimates = {fk_two_point_occupation(
+            q, LebesgueScaled(1.0), 1.0, 1.0,
+            McConfig(n_paths=300, seed=4, batch_size=batch, workers=workers),
+            eps=1e-2, n_steps=100)
+            for workers in (1, 2, 4) for batch in (7, 64)}
+        assert len(estimates) == 1
+        assert next(iter(estimates)).std_error > 0
 
     def test_parameter_validation(self):
         q = TwoPointQuery(t=1.0, x1=0.0, x2=0.0)
