@@ -29,7 +29,9 @@ profile is the law of ``B_t`` restricted to ``{max_{s<=t} B_s < a}`` (for
 and then the endpoint via a Rayleigh tail.  Each sample consumes exactly
 three uniforms, the branch uniform also choosing the side, which is what
 lets the Monte Carlo engines address samples by counter-based stream
-position.
+position.  The local time alone takes the first two
+(:meth:`JointLocalTimeLaw.local_time_from_uniforms`): the third sets only
+the endpoint.
 """
 
 from __future__ import annotations
@@ -135,14 +137,35 @@ class JointLocalTimeLaw:
 
     # -- sampling --------------------------------------------------------
 
+    def _level(self, u0: np.ndarray, u1: np.ndarray):
+        """The branch ``atom = u0 < P(L = 0)``, the level ``c`` and the local
+        time ``v`` from uniforms 0 and 1.  ``c`` is the running maximum
+        conditioned below ``|a|`` on the atom branch and ``|a| + v`` on the
+        continuous one, through one shared ``ndtri``."""
+        st = np.sqrt(self.t)
+        aa = abs(self.a)
+        p0 = self.atom_mass
+        atom = u0 < p0
+        q = special.ndtri(np.where(atom, 0.5 * (1.0 + u1 * p0),
+                                   (1.0 - u1) * normal_cdf(-aa / st)))
+        c = st * np.abs(q)
+        return atom, c, np.where(atom, 0.0, c - aa)
+
+    def local_time_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Map uniforms of shape ``(n, 2)`` in [0, 1) to samples of ``L``
+        alone: the ``v`` of :meth:`sample_from_uniforms` on the same first
+        two uniforms, bit for bit."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2 or u.shape[1] != 2:
+            raise DomainError("local_time_from_uniforms expects shape (n, 2)")
+        return self._level(u[:, 0], u[:, 1])[2]
+
     def sample_from_uniforms(self, u: np.ndarray):
         """Map uniforms of shape ``(n, 3)`` in [0, 1) to samples ``(y, v)``.
 
-        Uniform 0 picks the branch, the atom when ``u0 < P(L = 0)``, and on
-        the continuous branch also the side of ``a`` (``u0`` is uniform on
-        ``[P(L = 0), 1)`` there).  Uniform 1 gives ``c``, the running
-        maximum conditioned below ``|a|`` on the atom branch and ``|a| + v``
-        on the continuous one, through one shared ``ndtri``.  Uniform 2
+        Uniforms 0 and 1 give the branch, ``c`` and ``v`` as in
+        :meth:`_level`; on the continuous branch uniform 0, uniform on
+        ``[P(L = 0), 1)`` there, also picks the side of ``a``.  Uniform 2
         gives the exponential that sets the distance ``g`` of the endpoint
         from ``c`` (atom, mirrored for ``a < 0``) or from ``a``
         (continuous).
@@ -150,21 +173,13 @@ class JointLocalTimeLaw:
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != 3:
             raise DomainError("sample_from_uniforms expects shape (n, 3)")
-        t, a = self.t, self.a
-        st = np.sqrt(t)
-        aa = abs(a)
-        p0 = self.atom_mass
-
-        u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
-        atom = u0 < p0
-        q = special.ndtri(np.where(atom, 0.5 * (1.0 + u1 * p0),
-                                   (1.0 - u1) * normal_cdf(-aa / st)))
-        c = st * np.abs(q)
-        te2 = 2.0 * t * -np.log1p(-u2)
+        a = self.a
+        u0 = u[:, 0]
+        atom, c, v = self._level(u0, u[:, 1])
+        te2 = 2.0 * self.t * -np.log1p(-u[:, 2])
         g = te2 / (np.sqrt(c * c + te2) + c)
-        below = u0 < 0.5 * (1.0 + p0)
+        below = u0 < 0.5 * (1.0 + self.atom_mass)
         y = np.where(atom, _sign(a) * (c - g), a + np.where(below, -g, g))
-        v = np.where(atom, 0.0, c - aa)
         return y, v
 
     def sample(self, rng: np.random.Generator, size: int | None = None):

@@ -390,18 +390,20 @@ def _pair_supports(s1: tuple[float, float], s2: tuple[float, float]):
 _PEAK_WIDTHS = 10.0
 
 
-def _peak_cuts(a: float, b: float, *factors: tuple[float, float]
-               ) -> list[float]:
-    """Cut points for Gaussian factors ``(peak, width)`` integrated over
-    [a, b]: each peak and peak ± _PEAK_WIDTHS widths, so that QUADPACK's
-    first nodes on a long piece cannot step over a narrow spike.  A factor
-    with its peak in [a, b] whose reach rounds away (peak + 10 widths ==
-    peak) is narrower than the spacing of doubles there, where no rule can
-    see it: QuadratureError."""
+def _peak_cuts(a: float, b: float, g: Callable[[float], float],
+               *factors: tuple[float, float]) -> list[float]:
+    """Cut points for Gaussian factors ``(peak, width)`` of the integrand
+    ``g`` on [a, b]: each peak and peak ± _PEAK_WIDTHS widths, so that
+    QUADPACK's first nodes on a long piece cannot step over a narrow spike.
+    A factor with its peak in [a, b] whose reach rounds away (peak + 10
+    widths == peak) is narrower than the spacing of doubles there, where no
+    rule can see it: QuadratureError, unless ``g`` is 0 at the peak (another
+    factor vanishes there, so the spike carries nothing)."""
     cuts = []
     for peak, width in factors:
         reach = _PEAK_WIDTHS * width
-        if a <= peak <= b and not peak - reach < peak < peak + reach:
+        if (a <= peak <= b and not peak - reach < peak < peak + reach
+                and g(peak) != 0.0):
             raise QuadratureError(
                 f"a Gaussian factor of the kernel, width {width:.3g} at "
                 f"{peak!r}, is narrower than the spacing of doubles there")
@@ -435,24 +437,35 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
     var = params.nu * q.t
     f2 = mu2.f
     if a1:
+        def against_atom(loc: float) -> Callable[[float], float]:
+            return lambda z: f2(z) * point_kernel(loc, z)
         return sum(m * integrate_split(
-            lambda z: f2(z) * point_kernel(loc, z), *mu2.support, loc,
-            *_peak_cuts(*mu2.support, (q.x2, math.sqrt(var)),
+            against_atom(loc), *mu2.support, loc,
+            *_peak_cuts(*mu2.support, against_atom(loc),
+                        (q.x2, math.sqrt(var)),
                         (q.x1 + q.x2 - loc, math.sqrt(2.0 * var))),
             abs_tol=abs_tol, rel_tol=rel_tol)
             for loc, m in mu1.atoms)
 
     f1 = mu1.f
-    bar_range, sep_range = _pair_supports(mu1.support, mu2.support)
-    sep_cuts = _peak_cuts(*sep_range, (q.dx, math.sqrt(2.0 * var)))
-    bar_cuts = _peak_cuts(*bar_range, (q.x_bar, math.sqrt(0.5 * var)))
 
-    def outer_integrand(zbar: float) -> float:
+    def inner_at(zbar: float) -> Callable[[float], float]:
         def inner(dz: float) -> float:
             z1 = zbar - 0.5 * dz
             z2 = zbar + 0.5 * dz
             return f1(z1) * f2(z2) * point_kernel(z1, z2)
-        return integrate_split(inner, *sep_range, 0.0, *sep_cuts,
+        return inner
+
+    # Both factors peak at (zbar, dz) = (x_bar, dx); each one's guard reads
+    # the integrand on the line through that point.
+    bar_range, sep_range = _pair_supports(mu1.support, mu2.support)
+    sep_cuts = _peak_cuts(*sep_range, inner_at(q.x_bar),
+                          (q.dx, math.sqrt(2.0 * var)))
+    bar_cuts = _peak_cuts(*bar_range, lambda zbar: inner_at(zbar)(q.dx),
+                          (q.x_bar, math.sqrt(0.5 * var)))
+
+    def outer_integrand(zbar: float) -> float:
+        return integrate_split(inner_at(zbar), *sep_range, 0.0, *sep_cuts,
                                abs_tol=abs_tol / 10, rel_tol=rel_tol / 10)
 
     return integrate_split(outer_integrand, *bar_range, *bar_cuts,

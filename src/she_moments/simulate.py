@@ -215,14 +215,20 @@ def _spde_step(u: np.ndarray, lap: np.ndarray, r: float, dirichlet: bool,
 
     ``noise`` holds normals already scaled by ``sqrt(dt / dx)``, one row per
     field; without it the step is the noise-free heat step.  ``lap`` and
-    ``tmp`` are work buffers shaped like ``u``.  The order of operations
-    is part of the reproducibility contract: ``u + (r*lap + rho(u)*noise)``
-    with ``lap = (u[:-2] - 2u) + u[2:]``.
+    ``tmp`` are work buffers shaped like ``u``; ``lap`` is C-contiguous.
+    The order of operations is part of the reproducibility contract:
+    ``u + (r*lap + rho(u)*noise)`` with ``lap = (u[:-2] - 2u) + u[2:]``.
+
+    The Laplacian runs over the rows laid end to end, one long contiguous
+    pass instead of one short one per row; the entries that straddle two
+    rows are the boundary entries, set just after.  A ``u`` that is not
+    C-contiguous (a transposed view) is read through a copy.
     """
-    inner = lap[:, 1:-1]
-    np.multiply(u[:, 1:-1], 2.0, out=inner)
-    np.subtract(u[:, :-2], inner, out=inner)
-    inner += u[:, 2:]
+    flat = u.reshape(-1)
+    inner = lap.reshape(-1)[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=inner)
+    np.subtract(flat[:-2], inner, out=inner)
+    inner += flat[2:]
     if dirichlet:
         lap[:, 0] = lap[:, -1] = 0.0
     else:
@@ -262,20 +268,24 @@ def _evolve(grid: SpdeGrid, u: np.ndarray, rho: RhoSpec, nu: float,
 
     lap = np.empty_like(u)
     tmp = None if rho.is_zero else np.empty_like(u)
-    # One noise buffer for all fields, filled in place row by row.
+    # One noise buffer for all fields in step-major order, so that each
+    # step reads one contiguous (fields, nodes) slab.  Each path's stream
+    # is drawn into ``draw`` and scaled into its column of the buffer.
     noise = (None if rho.is_zero
-             else np.empty((len(gens), min(chunk, n_steps), nx)))
+             else np.empty((min(chunk, n_steps), len(gens), nx)))
+    draw = None if noise is None else np.empty((len(noise), nx))
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             this_chunk = min(chunk, n_steps - step)
             if noise is not None:
                 for p, g in enumerate(gens):
-                    g.standard_normal(out=noise[p, :this_chunk])
-                noise[:, :this_chunk] *= noise_scale
+                    g.standard_normal(out=draw[:this_chunk])
+                    np.multiply(draw[:this_chunk], noise_scale,
+                                out=noise[:this_chunk, p])
             for k in range(this_chunk):
                 _spde_step(u, lap, r, dirichlet, rho,
-                           None if noise is None else noise[:, k, :], tmp)
+                           None if noise is None else noise[k], tmp)
             step += this_chunk
 
 
@@ -430,9 +440,12 @@ def fk_two_point(q: TwoPointQuery, u0: InitialMeasure, nu: float,
     ``u0`` is a ``LebesgueScaled`` constant or a ``DensityMeasure`` whose
     certificate bounds it; anything else is a ConfigError.
 
-    Each path consumes exactly four uniforms, one Philox block, from its
-    counter-based substream: three for ``(W1, L)`` and one for ``W2``.  The
-    estimate is therefore reproducible across any partitioning.
+    Each path reads one Philox block of four uniforms from its
+    counter-based substream: three for ``(W1, L)`` and one for ``W2``.  A
+    constant u0 ≡ c weighs a path by ``c² exp(rate L)`` alone, so it reads
+    only the block's first two uniforms, the local time's, and skips the
+    endpoints; its values are those of the full draw, bit for bit.  The
+    estimate is reproducible across any partitioning.
     """
     if not (nu > 0):
         raise DomainError(f"fk_two_point requires nu > 0, got {nu}")
@@ -441,13 +454,21 @@ def fk_two_point(q: TwoPointQuery, u0: InitialMeasure, nu: float,
     scale = math.sqrt(2.0 * nu * q.t)
     rate = lam * lam / (2.0 * nu)
 
-    def task(lo: int, hi: int) -> np.ndarray:
-        u = uniforms_at(mc.seed, DOMAIN_FK, lo, hi, 4)
-        y, v = law.sample_from_uniforms(u[:, :3])
-        w2 = scale * special.ndtri(u[:, 3])
-        vals = (np.asarray(f(q.x1 + 0.5 * (w2 + y)), dtype=float)
-                * np.asarray(f(q.x2 + 0.5 * (w2 - y)), dtype=float))
-        return vals * np.exp(rate * v)
+    if isinstance(u0, LebesgueScaled):
+        c2 = u0.scale * u0.scale
+
+        def task(lo: int, hi: int) -> np.ndarray:
+            v = law.local_time_from_uniforms(
+                uniforms_at(mc.seed, DOMAIN_FK, lo, hi, 2))
+            return c2 * np.exp(rate * v)
+    else:
+        def task(lo: int, hi: int) -> np.ndarray:
+            u = uniforms_at(mc.seed, DOMAIN_FK, lo, hi, 4)
+            y, v = law.sample_from_uniforms(u[:, :3])
+            w2 = scale * special.ndtri(u[:, 3])
+            vals = (np.asarray(f(q.x1 + 0.5 * (w2 + y)), dtype=float)
+                    * np.asarray(f(q.x2 + 0.5 * (w2 - y)), dtype=float))
+            return vals * np.exp(rate * v)
 
     values = _parallel_values(mc.n_paths, mc.batch_size, mc.workers, task)
     return _estimate_from_values(values, mc.n_paths)

@@ -166,3 +166,16 @@ def test_a_factor_below_double_resolution_is_refused(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "narrower than the spacing" in err
+
+
+def test_a_narrow_factor_that_carries_nothing_is_not_refused():
+    # At t = 1e-40 the atom's factor at x1 + x2 - 1 = -1 is 1.4e-20 wide,
+    # below the spacing of doubles there, but the integrand is 0 at its
+    # peak: G_nu(t, x2 - z) vanishes 1 away from x2.  Only the Gaussian
+    # term's own spike at the origin carries the value.
+    mu = MeasureSum((DiracAtoms(((1.0, 1.0),)), gaussian_density(0.0, 1.0)))
+    q = TwoPointQuery(t=1e-40, x1=0.0, x2=0.0)
+    params = KernelParams(nu=1.0, lam=1.0)
+    closed = closed_two_point(q, mu, params)
+    assert closed == pytest.approx(0.15915494309189535, rel=1e-12)
+    assert _rel(two_point(q, mu, params, formula="direct"), closed) <= 1e-6

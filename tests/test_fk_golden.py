@@ -17,7 +17,8 @@ import pytest
 
 from she_moments.cli import main
 from she_moments.kernels import TwoPointQuery
-from she_moments.measures import LebesgueScaled, gaussian_density
+from she_moments.measures import (DensityMeasure, GrowthCertificate,
+                                  LebesgueScaled, gaussian_density)
 from she_moments.rng import DOMAIN_FK, DOMAIN_SPDE, uniforms_at
 from she_moments.simulate import McConfig, fk_two_point
 
@@ -93,16 +94,37 @@ def test_uniforms_at_empty_path_set(n):
     assert u.dtype == np.float64
 
 
+def _estimate(u0, batch_size, workers):
+    return fk_two_point(TwoPointQuery(0.9, -0.3, 0.4), u0, 1.0, 1.0,
+                        McConfig(n_paths=50_000, seed=2024,
+                                 batch_size=batch_size, workers=workers))
+
+
+# Every way of cutting the 50,000 paths into batches and workers.
+PARTITIONS = pytest.mark.parametrize("batch_size,workers", [
+    (b, w) for b in (333, 7_000, 20_000) for w in (1, 2, 4)])
+
+CONSTANT_ESTIMATE = ("Estimate(value=3.1065164379097046, "
+                     "std_error=0.006441500363034108, n=50000, "
+                     "n_divergent=0)")
+
+
 def test_fk_two_point_estimate_is_pinned():
     # 50,000 paths in batches of 7,000 on two workers: the last batch is
     # short, so uneven batch edges are part of the pin.
-    est = fk_two_point(TwoPointQuery(0.9, -0.3, 0.4),
-                       LebesgueScaled(1.5), 1.0, 1.0,
-                       McConfig(n_paths=50_000, seed=2024, batch_size=7_000,
-                                workers=2))
-    assert repr(est) == ("Estimate(value=3.1065164379097046, "
-                         "std_error=0.006441500363034108, n=50000, "
-                         "n_divergent=0)")
+    assert repr(_estimate(LebesgueScaled(1.5), 7_000, 2)) == CONSTANT_ESTIMATE
+
+
+@PARTITIONS
+def test_constant_u0_reads_only_the_local_time(batch_size, workers):
+    # A constant u0 reads the first two uniforms of each block, the local
+    # time's; a density that is the same constant goes through the full
+    # (W1, L, W2) draw and must give the same estimate, bit for bit.
+    flat = DensityMeasure(lambda x: np.full(np.shape(x), 1.5),
+                          GrowthCertificate(amplitude=1.5))
+    assert repr(_estimate(flat, batch_size, workers)) == CONSTANT_ESTIMATE
+    assert (repr(_estimate(LebesgueScaled(1.5), batch_size, workers))
+            == CONSTANT_ESTIMATE)
 
 
 # Library version 0.3.0: three uniforms per (W1, L) sample and W2 from the
@@ -113,21 +135,15 @@ DENSITY_ESTIMATE = ("Estimate(value=0.15841440311601684, "
                     "n_divergent=0)")
 
 
-def _density_estimate(batch_size, workers):
-    return fk_two_point(TwoPointQuery(0.9, -0.3, 0.4),
-                        gaussian_density(0.2, 0.5), 1.0, 1.0,
-                        McConfig(n_paths=50_000, seed=2024,
-                                 batch_size=batch_size, workers=workers))
-
-
 def test_fk_two_point_density_estimate_is_pinned():
-    assert repr(_density_estimate(7_000, 2)) == DENSITY_ESTIMATE
+    assert (repr(_estimate(gaussian_density(0.2, 0.5), 7_000, 2))
+            == DENSITY_ESTIMATE)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("batch_size", [333, 7_000, 20_000])
+@PARTITIONS
 def test_fk_two_point_density_estimate_ignores_partition(batch_size, workers):
-    assert repr(_density_estimate(batch_size, workers)) == DENSITY_ESTIMATE
+    assert (repr(_estimate(gaussian_density(0.2, 0.5), batch_size, workers))
+            == DENSITY_ESTIMATE)
 
 
 def test_local_time_sample_stdout_is_pinned(capsys):

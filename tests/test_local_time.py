@@ -233,6 +233,23 @@ class TestSampler:
             JointLocalTimeLaw(t=1.0, a=1.0).sample_from_uniforms(
                 np.full(shape, 0.5))
 
+    @pytest.mark.parametrize("shape", [(10, 3), (10, 1), (30,)])
+    def test_local_time_needs_exactly_two_uniforms(self, shape):
+        with pytest.raises(DomainError):
+            JointLocalTimeLaw(t=1.0, a=1.0).local_time_from_uniforms(
+                np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("a", [-1.3, 0.0, 0.8])
+    def test_local_time_alone_is_the_joint_draws_local_time(self, a):
+        # The first two uniforms fix L: dropping the third (the endpoint's)
+        # leaves every v unchanged, bit for bit, on both branches.
+        law = JointLocalTimeLaw(t=1.7, a=a)
+        u = np.random.default_rng(31).random((20_000, 3))
+        v = law.local_time_from_uniforms(u[:, :2])
+        assert v.tobytes() == law.sample_from_uniforms(u)[1].tobytes()
+        assert np.any(v > 0.0)
+        assert np.any(v == 0.0) == (a != 0.0)  # the atom has mass 0 at a = 0
+
     @pytest.mark.parametrize("a,seed", [(-0.7, 11), (0.0, 12)])
     def test_continuous_part_matches_cell_probabilities(self, a, seed):
         """Criterion 9's chi-square test (there at a = 1) on a 12 x 12

@@ -17,7 +17,8 @@ import pytest
 from she_moments import simulate
 from she_moments.measures import LebesgueScaled, gaussian_density
 from she_moments.simulate import (RhoSpec, SpdeGrid, _initial_field,
-                                  _run_spde_batch, spde_solve_path)
+                                  _run_spde_batch, spde_lattice_second_moment,
+                                  spde_solve_path)
 
 RHOS = {
     "linear": RhoSpec.linear(1.0),
@@ -104,3 +105,21 @@ def test_spde_solve_path_field_is_pinned(boundary, rho, measure):
     field = spde_solve_path(grid, MEASURES[measure], RHOS[rho], 1.0,
                             np.random.default_rng(5))
     assert _sha1(field) == SOLVE_DIGESTS[(boundary, rho, measure)]
+
+
+# The exact second-moment recursion steps the rows of M and then its
+# columns, a transposed view: the one caller of the step whose fields are
+# not C-contiguous.  Pinned before the step went over flattened rows.
+LATTICE_DIGESTS = {
+    "neumann0": "93650dca22dab8ad68634e303ea452558ce3c234",
+    "dirichlet0": "d6c511fe7565ca414dfa99d413eb3147c585725e",
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(LATTICE_DIGESTS))
+def test_lattice_second_moment_is_pinned(boundary):
+    grid = SpdeGrid(L=1.0, dx=0.05, dt=1e-3, t_final=0.2, boundary=boundary)
+    m = spde_lattice_second_moment(grid, gaussian_density(0.1, 0.2, 2.0),
+                                   1.3, 1.0)
+    assert m.shape == (grid.n_nodes, grid.n_nodes)
+    assert _sha1(m) == LATTICE_DIGESTS[boundary]
