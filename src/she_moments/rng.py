@@ -6,11 +6,12 @@ each engine's domain tag is used with one of the two tools only
 (:data:`BIT_GENERATORS` names which):
 
 * :func:`path_generator` serves engines that draw large per-path blocks in
-  order (the SPDE solver, the occupation-time engine).  It seeds numpy's
-  SFC64 from the path's two key words through ``np.random.SeedSequence``
-  and draws sequentially; SFC64 has no counter to address, and draws
-  normals about 1.5x as fast as Philox.  The stream depends only on the
-  key, never on batching or worker assignment.
+  order.  It seeds numpy's SFC64 from the path's two key words through
+  ``np.random.SeedSequence`` and draws sequentially; SFC64 has no counter
+  to address, and generates words faster than Philox.  It serves
+  uniforms to the SPDE solver, one per node and step, whose signs are its
+  two-point noise, and normals to the occupation-time engine.  The stream
+  depends only on the key, never on batching or worker assignment.
 
 * :func:`uniforms_at` serves cheap consumers (the Feynman-Kac sampler) that
   address "uniform block j of path i" as pure random access, which needs

@@ -4,7 +4,12 @@ Two independent estimators of the same two-point moments:
 
 * ``spde_estimate_two_point`` integrates the equation itself with an
   explicit Euler scheme on a finite grid (biased by discretisation,
-  oblivious to the closed forms being checked);
+  oblivious to the closed forms being checked).  Its noise is two-point:
+  each node and step draws ``+-sqrt(dt / dx)`` with probability 1/2 each,
+  the sign of one uniform (the simplified weak Euler scheme; Kloeden &
+  Platen 1992, section 14.1).  The scheme's second moment under linear
+  ``rho`` uses only E xi = 0 and E xi^2 = 1 of its noise, so it is the
+  one Gaussian noise would give;
 
 * ``fk_two_point`` averages the path functional
 
@@ -31,6 +36,7 @@ count.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -213,7 +219,7 @@ def _spde_step(u: np.ndarray, lap: np.ndarray, r: float, dirichlet: bool,
                tmp: np.ndarray | None = None) -> None:
     """One explicit Euler step of the fields ``u`` (rows), in place.
 
-    ``noise`` holds normals already scaled by ``sqrt(dt / dx)``, one row per
+    ``noise`` holds ``+-sqrt(dt / dx)``, the two-point noise, one row per
     field; without it the step is the noise-free heat step.  ``lap`` and
     ``tmp`` are work buffers shaped like ``u``; ``lap`` is C-contiguous.
     The order of operations is part of the reproducibility contract:
@@ -257,8 +263,11 @@ _NOISE_BUFFER_BYTES = 1 << 24
 def _evolve(grid: SpdeGrid, u: np.ndarray, rho: RhoSpec, nu: float,
             gens: list) -> None:
     """Evolve the fields ``u`` (row ``p`` driven by ``gens[p]``) to t_final,
-    in place.  Noise is drawn in chunks of steps; one stream drawn in chunks
-    gives the same normals as per-step draws."""
+    in place.  Each node and step takes one uniform u from the field's
+    stream, and its noise is ``copysign(sqrt(dt / dx), u - 1/2)``: exactly
+    ``+-sqrt(dt / dx)`` with probability 1/2 each.  Noise is drawn in chunks
+    of steps; one stream drawn in chunks gives the same uniforms as per-step
+    draws."""
     nx = grid.n_nodes
     n_steps = grid.n_time_steps
     r = nu * grid.dt / (2.0 * grid.dx ** 2)
@@ -270,18 +279,27 @@ def _evolve(grid: SpdeGrid, u: np.ndarray, rho: RhoSpec, nu: float,
     tmp = None if rho.is_zero else np.empty_like(u)
     # One noise buffer for all fields in step-major order, so that each
     # step reads one contiguous (fields, nodes) slab.  Each path's stream
-    # is drawn into ``draw`` and scaled into its column of the buffer.
-    noise = (None if rho.is_zero
-             else np.empty((min(chunk, n_steps), len(gens), nx)))
-    draw = None if noise is None else np.empty((len(noise), nx))
+    # is drawn into ``draw`` and its signs written into its column of the
+    # buffer.  The buffer is an anonymous mapping of its own, returned to
+    # the OS when the batch frees it: a malloc'd block this size stays
+    # resident in the arena of the worker thread that freed it, and the
+    # fresh threads of each request may take fresh arenas, each of which
+    # then keeps a buffer.
+    noise = draw = None
+    if not rho.is_zero:
+        shape = (min(chunk, n_steps), len(gens), nx)
+        noise = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))
+                              ).reshape(shape)
+        draw = np.empty((len(noise), nx))
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             this_chunk = min(chunk, n_steps - step)
             if noise is not None:
                 for p, g in enumerate(gens):
-                    g.standard_normal(out=draw[:this_chunk])
-                    np.multiply(draw[:this_chunk], noise_scale,
+                    g.random(out=draw[:this_chunk])
+                    draw[:this_chunk] -= 0.5
+                    np.copysign(noise_scale, draw[:this_chunk],
                                 out=noise[:this_chunk, p])
             for k in range(this_chunk):
                 _spde_step(u, lap, r, dirichlet, rho,
@@ -302,11 +320,13 @@ def spde_solve_path(grid: SpdeGrid, mu: InitialMeasure, rho: RhoSpec,
                     nu: float, rng: np.random.Generator) -> np.ndarray:
     """One field sample at ``t_final`` on the grid nodes.
 
-    Explicit Euler with space-time white noise discretised as iid normals
-    scaled by ``sqrt(dt / dx)`` per cell.  Raises DivergenceError if the
-    field leaves double precision (coarse grids with strong coupling can
-    blow up; this is reported, never clipped).  A non-finite interior node
-    stays non-finite, so checking the final field suffices.
+    Explicit Euler with space-time white noise discretised as two-point
+    noise: ``+-sqrt(dt / dx)`` per node and step, with probability 1/2
+    each, the sign of one uniform drawn from ``rng``.  Raises
+    DivergenceError if the field leaves double precision (coarse grids with
+    strong coupling can blow up; this is reported, never clipped).  A
+    non-finite interior node stays non-finite, so checking the final field
+    suffices.
     """
     grid.check_cfl(nu)
     u = _initial_field(grid, mu)[None, :]
@@ -323,8 +343,10 @@ def spde_lattice_second_moment(grid: SpdeGrid, mu: InitialMeasure,
     """Exact second-moment matrix ``M[i, j] = E[u_i u_j]`` of the explicit
     scheme at ``t_final`` for the linear coupling ``rho(u) = lam * u``.
 
-    One step is ``u <- B u + lam * u * xi * sqrt(dt / dx)`` with iid standard
-    normals ``xi``, so ``M <- B M B^T + (lam^2 dt / dx) diag(diag M)``.
+    One step is ``u <- B u + lam * u * xi * sqrt(dt / dx)`` with iid ``xi``,
+    E xi = 0 and E xi^2 = 1, so
+    ``M <- B M B^T + (lam^2 dt / dx) diag(diag M)``: the same recursion for
+    the engine's two-point ``xi = +-1`` as for standard normals.
     ``B`` is the noise-free step, applied to the rows of ``M`` and then to
     its columns.  ``M[i1, i2]`` is the exact mean of the SPDE Monte Carlo
     estimator on the same grid, discretisation bias included; it tends to
@@ -357,7 +379,7 @@ def _estimate_from_values(values: np.ndarray, n_total: int) -> Estimate:
             f"{n_div} of {n_total} paths diverged "
             f"(> {MAX_DIVERGENT_FRACTION:.1%})",
             n_divergent=n_div, n_total=n_total)
-    good = values[finite]
+    good = values if n_div == 0 else values[finite]
     n = good.size
     value = float(np.mean(good))
     std_error = float(np.std(good, ddof=1) / math.sqrt(n)) if n > 1 else 0.0

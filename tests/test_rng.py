@@ -155,6 +155,14 @@ class TestSequentialStreams:
         assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
         assert abs(np.mean(z[:-1] * z[1:])) < 5.0 / np.sqrt(n - 1)
 
+    def test_uniform_half_is_the_top_bit_of_each_word(self):
+        # The SPDE engine's sign, u >= 1/2, is bit 63 of the SFC64 word the
+        # uniform is made from: exactly half of all words, so P(+) = 1/2.
+        u = path_generator(1011, DOMAIN_SPDE, 3).random(4096)
+        raw = path_generator(1011, DOMAIN_SPDE, 3).bit_generator \
+            .random_raw(4096)
+        assert np.array_equal(u >= 0.5, (raw >> np.uint64(63)) == 1)
+
     def test_bit_generator_names(self):
         assert BIT_GENERATORS == {DOMAIN_SPDE: "SFC64",
                                   DOMAIN_FK_OCC: "SFC64",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from she_moments import simulate
 from she_moments.errors import ConfigError, DivergenceError, DomainError
 from she_moments.gaussian import heat_kernel
 from she_moments.kernels import KernelParams, TwoPointQuery, two_point_lebesgue
@@ -13,6 +14,7 @@ from she_moments.simulate import (Estimate, McConfig, RhoSpec, SpdeGrid,
                                   fk_two_point, fk_two_point_occupation,
                                   spde_estimate_two_point,
                                   spde_lattice_second_moment, spde_solve_path)
+from she_moments.rng import DOMAIN_SPDE, path_key
 
 P11 = KernelParams(nu=1.0, lam=1.0)
 
@@ -423,3 +425,68 @@ class TestLatticeSecondMoment:
                                                batch_size=1000))
         assert est.n_divergent == 0
         assert abs(est.value - exact) <= 5.0 * est.std_error
+
+
+def _batch_noise(monkeypatch, grid: SpdeGrid, seed: int, lo: int,
+                 hi: int) -> np.ndarray:
+    """The noise slab ``_evolve`` hands each step of a batch of paths
+    [lo, hi), stacked as (steps, paths, nodes)."""
+    slabs = []
+    step = simulate._spde_step
+
+    def record(u, lap, r, dirichlet, rho=None, noise=None, tmp=None):
+        slabs.append(noise.copy())
+        step(u, lap, r, dirichlet, rho, noise, tmp)
+
+    monkeypatch.setattr(simulate, "_spde_step", record)
+    simulate._run_spde_batch(grid, np.ones(grid.n_nodes), RhoSpec.linear(1.0),
+                             1.0, seed, lo, hi)
+    return np.stack(slabs)
+
+
+class TestTwoPointNoise:
+    """The SPDE engine's noise: +-sqrt(dt/dx) with probability 1/2 each, the
+    sign of one uniform of the path's SFC64 stream per node and step."""
+
+    GRID = SpdeGrid(L=1.0, dx=0.05, dt=1e-3, t_final=0.1)
+
+    @staticmethod
+    def _scale(grid: SpdeGrid) -> float:
+        # The engine's own expression for sqrt(dt / dx).
+        return math.sqrt(grid.dt) / math.sqrt(grid.dx)
+
+    def test_every_entry_is_plus_or_minus_the_scale(self, monkeypatch):
+        noise = _batch_noise(monkeypatch, self.GRID, 5, 0, 3)
+        assert noise.shape == (self.GRID.n_time_steps, 3, self.GRID.n_nodes)
+        scale = self._scale(self.GRID)
+        assert np.all(np.abs(noise) == scale)
+        assert np.any(noise > 0) and np.any(noise < 0)
+
+    def test_signs_are_a_known_answer(self, monkeypatch):
+        # 7-step chunks (15 of them, the last one partial): each path's row
+        # is still its own stream's uniforms in order, u < 1/2 giving -.
+        seed, lo, hi = 1011, 17, 21
+        grid = self.GRID
+        monkeypatch.setattr(simulate, "_NOISE_BUFFER_BYTES",
+                            7 * 8 * (hi - lo) * grid.n_nodes)
+        noise = _batch_noise(monkeypatch, grid, seed, lo, hi)
+        scale = self._scale(grid)
+        for p, i in enumerate(range(lo, hi)):
+            gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+                [int(w) for w in path_key(seed, DOMAIN_SPDE, i)])))
+            u = gen.random((grid.n_time_steps, grid.n_nodes))
+            assert np.array_equal(noise[:, p], np.where(u < 0.5, -scale,
+                                                        scale))
+
+    def test_sign_share_and_lag_one_correlation(self, monkeypatch):
+        # 4 paths x 1001 nodes x 250 steps = 1,001,000 signs; each path's
+        # signs in stream order.  Share of + and the correlation of
+        # consecutive signs, each within 5 sigma of 1/2 and 0.
+        grid = SpdeGrid(L=5.0, dx=0.01, dt=1e-4, t_final=0.025)
+        noise = _batch_noise(monkeypatch, grid, 2, 0, 4)
+        signs = np.sign(noise).transpose(1, 0, 2).reshape(4, -1)
+        n = signs.size
+        assert n >= 10 ** 6
+        assert abs(np.mean(signs > 0) - 0.5) < 5.0 * 0.5 / math.sqrt(n)
+        lag = (signs[:, :-1] * signs[:, 1:]).ravel()
+        assert abs(lag.mean()) < 5.0 / math.sqrt(lag.size)

@@ -6,7 +6,8 @@ reproducibility contract, so any rewrite of the step has to reproduce them
 bit for bit.  If one of these fails, the stepping arithmetic changed: either
 restore the old order of operations or bump the library version and record
 the change.  The noise-bearing batch pins were last re-pinned for version
-0.4.0, whose per-path streams are SFC64.
+0.5.0, whose noise is two-point: ±sqrt(dt/dx), one SFC64 uniform's sign
+per node and step.
 """
 
 import hashlib
@@ -51,11 +52,11 @@ def _batch_fields(boundary: str, rho: str) -> np.ndarray:
 
 
 BATCH_DIGESTS = {
-    ("neumann0", "linear"): "6bc8747848188c9b645ad2dbbff18efa2246504c",
-    ("neumann0", "clipped"): "f04cfd8c9d98431a75862e96fab982162c1bb7a8",
+    ("neumann0", "linear"): "35b04220bb4c0af09e75913260e0d938347e53a5",
+    ("neumann0", "clipped"): "e062a1949e4737d4d04e0bb3b0bf01b6d6c33029",
     ("neumann0", "zero"): "ebb458cd201cd791ffdb57de7ab75ae37935364f",
-    ("dirichlet0", "linear"): "363cfb1b59af2cd12731c91a93a848a3a7431752",
-    ("dirichlet0", "clipped"): "6becb099ac98eb2dcb7c695f059094a66d45a295",
+    ("dirichlet0", "linear"): "045edcaaf6de92c270a7474f40a1e464df28c321",
+    ("dirichlet0", "clipped"): "41a4ab729213b708f689b39e3bcaf5c28e031916",
     ("dirichlet0", "zero"): "c664b170bb1d9131dbd38481c28e7dc0442858d7",
 }
 
@@ -86,13 +87,13 @@ def test_noise_chunking_leaves_fields_unchanged(monkeypatch, boundary, rho):
 
 SOLVE_DIGESTS = {
     ("neumann0", "linear", "gaussian"):
-        "3a2b56bd815f9f29abde6fce459d8012022ea2c0",
+        "56191413b80fb8a6979868111a5def4dd8138f28",
     ("neumann0", "clipped", "lebesgue"):
-        "83e4d7b4bb0592519a1884f530b9b9075908b3ce",
+        "ea93ec393ca1c252d580ccda4f84ddc62d63c9b1",
     ("dirichlet0", "linear", "lebesgue"):
-        "c2519097654559ee9500e4c4cfb0d9f3af4f55b7",
+        "b690323fcd11cfc815f43b32c96137fcb61e8320",
     ("dirichlet0", "clipped", "gaussian"):
-        "8e251106a0744b03211bb44f072a9e520cfbcb6f",
+        "10e30e56d38f270bc57cce26096e74ca0e37826b",
 }
 
 MEASURES = {"gaussian": gaussian_density(-0.2, 0.1),
