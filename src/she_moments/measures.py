@@ -361,6 +361,18 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
 # Bilinear kernel integrals
 # ---------------------------------------------------------------------------
 
+def _term_pairs(mu: InitialMeasure
+                ) -> list[tuple[float, InitialMeasure, InitialMeasure]]:
+    """``(weight, term1, term2)`` for each unordered pair of mu's primitive
+    terms, weight 1 on the diagonal and 2 off it: the expansion of the
+    quadratic form ∬ mu(dz1) mu(dz2) K in mu.  Atom terms come first, so
+    term1 is atoms wherever term2 is."""
+    terms = sorted(mu.primitive_terms(),
+                   key=lambda term: not isinstance(term, DiracAtoms))
+    return [(1.0 if i == j else 2.0, terms[i], terms[j])
+            for i in range(len(terms)) for j in range(i, len(terms))]
+
+
 def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
               kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     """Σ m1 m2 kernel(x1, x2) over all atom pairs, in one kernel call."""
@@ -415,8 +427,8 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
                         q: TwoPointQuery, params: KernelParams,
                         abs_tol: float, rel_tol: float) -> float:
     """∬ mu1(dz1) mu2(dz2) K_star(t, x1 - z1, x2 - z2, x1 - x2) for
-    primitive measures by nested adaptive quadrature: the direct-form
-    route.
+    primitive measures, atoms first (as :func:`_term_pairs` orders them),
+    by nested adaptive quadrature: the direct-form route.
 
     Atom pairs sum in one array kernel call.  The QUADPACK callbacks
     evaluate the query-bound float kernel over the densities' supports, cut
@@ -427,16 +439,12 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
     G_{nu/2}(t, xbar - zbar) and, inside, G_{2 nu}(t, dx - dz) with K_dag's
     kink at dz = 0.
     """
-    a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
-    if a1 and a2:
+    if isinstance(mu2, DiracAtoms):
         return _atom_sum(mu1, mu2, _query_kernel(two_point_kernel, q, params))
-    if a2:  # (density, atoms) at (x1, x2) is (atoms, density) at (x2, x1)
-        return _bilinear_primitive(mu2, mu1, TwoPointQuery(q.t, q.x2, q.x1),
-                                   params, abs_tol, rel_tol)
     point_kernel = two_point_kernel_at(q, params)
     var = params.nu * q.t
     f2 = mu2.f
-    if a1:
+    if isinstance(mu1, DiracAtoms):
         def against_atom(loc: float) -> Callable[[float], float]:
             return lambda z: f2(z) * point_kernel(loc, z)
         return sum(m * integrate_split(
@@ -586,18 +594,15 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
                 params: KernelParams, abs_tol: float,
                 rel_tol: float) -> tuple[float, float]:
     """``(value, error estimate)`` of ∬ mu1(dz1) mu2(dz2) K_dag(t, x1 - z1,
-    x2 - z2, x1 - x2) for primitive measures: an array atom sum, or
-    panelled Gauss-Legendre over the density variables on their supports.
-    The split-form route."""
+    x2 - z2, x1 - x2) for primitive measures, atoms first (as
+    :func:`_term_pairs` orders them): an array atom sum, or panelled
+    Gauss-Legendre over the density variables on their supports.  The
+    split-form route."""
     kernel = _query_kernel(covariance_kernel, q, params)
-    a1, a2 = isinstance(mu1, DiracAtoms), isinstance(mu2, DiracAtoms)
-    if a1 and a2:
+    if isinstance(mu2, DiracAtoms):
         return _atom_sum(mu1, mu2, kernel), 0.0
-    if a2:  # (density, atoms) at (x1, x2) is (atoms, density) at (x2, x1)
-        return _panel_pair(mu2, mu1, TwoPointQuery(q.t, q.x2, q.x1), params,
-                           abs_tol, rel_tol)
     sc = _SplitKernelScales(q, params)
-    if a1:
+    if isinstance(mu1, DiracAtoms):
         f2, cert = mu2.f, mu2.certificate
         total = err = 0.0
         for loc, m in mu1.atoms:
@@ -640,15 +645,6 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
                             abs_tol=abs_tol, rel_tol=rel_tol)
 
 
-def _bilinear(mu: InitialMeasure,
-              primitive: Callable[[InitialMeasure, InitialMeasure], float]
-              ) -> float:
-    """∬ mu(dz1) mu(dz2) kernel(z1, z2), expanding sums bilinearly into
-    ``primitive(term1, term2)``."""
-    terms = mu.primitive_terms()
-    return sum(primitive(t1, t2) for t1 in terms for t2 in terms)
-
-
 def _check_nu_t(q: TwoPointQuery, params: KernelParams) -> None:
     """Refuse a query whose variance scale nu * t underflows to 0 or
     overflows: every kernel divides by it or by its square root."""
@@ -665,7 +661,10 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
     ``formula="split"`` (default) evaluates J0*J0 plus the covariance-kernel
     integral by panelled Gauss-Legendre; ``formula="direct"`` integrates the
     full two-point kernel by nested adaptive QUADPACK.  The two must agree;
-    cross-checking them is the point of keeping both.
+    cross-checking them is the point of keeping both.  Both expand a sum
+    over :func:`_term_pairs`: K_dag is symmetric in (z1, z2), so the split
+    form weights a pair's integral; K_star is not, so the direct form takes
+    an off-diagonal pair at (x1, x2) and at (x2, x1).
 
     The panels resolve smooth densities; a density that jumps or kinks
     off the panel edges (an indicator, say) makes the split form raise
@@ -676,11 +675,15 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
     if formula == "split":
         j0j0 = (mean_field(q.t, q.x1, mu, params.nu)
                 * mean_field(q.t, q.x2, mu, params.nu))
-        return j0j0 + _bilinear(mu, lambda m1, m2: _panel_pair(
-            m1, m2, q, params, abs_tol, rel_tol)[0])
+        return j0j0 + sum(
+            w * _panel_pair(t1, t2, q, params, abs_tol, rel_tol)[0]
+            for w, t1, t2 in _term_pairs(mu))
     if formula == "direct":
-        return _bilinear(mu, lambda m1, m2: _bilinear_primitive(
-            m1, m2, q, params, abs_tol, rel_tol))
+        swapped = TwoPointQuery(q.t, q.x2, q.x1)
+        return sum(_bilinear_primitive(t1, t2, query, params, abs_tol,
+                                       rel_tol)
+                   for w, t1, t2 in _term_pairs(mu)
+                   for query in ((q,) if w == 1.0 else (q, swapped)))
     raise DomainError(f"unknown two_point formula {formula!r}")
 
 
@@ -719,9 +722,6 @@ def _gaussian_pairs(q: TwoPointQuery, params: KernelParams, pairs) -> float:
     alpha = l2 / (2.0 * nu)
     if alpha == 0.0:
         return 0.0
-    if not nu * t > 0:
-        raise DomainError(f"the closed form requires nu * t > 0, got "
-                          f"{nu} * {t}")
     d = abs(q.dx)
     gamma = 1.0 / math.sqrt(2.0 * nu * t)
     beta = (l2 * t - d) * gamma
@@ -765,27 +765,25 @@ def mixture_two_point(q: TwoPointQuery, mu: InitialMeasure,
                       params: KernelParams) -> float:
     """E[u(t,x1) u(t,x2)] in closed form for a measure whose every primitive
     term is atoms or a :class:`GaussianDensity`: J0 J0, a Gaussian term's
-    J0 being mass N(x; mean, nu t + var), an exact kernel sum for each pair
-    of atom terms, and :func:`_gaussian_pairs` over every other pair of
-    components.  The covariance integral is symmetric in its
-    two measures, so each unordered pair is taken once, twice weighted.
+    J0 being mass N(x; mean, nu t + var), and over :func:`_term_pairs` a
+    weighted exact kernel sum for a pair of atom terms and
+    :func:`_gaussian_pairs` over the components of every other pair.
     ``two_point`` (either formula) is its cross-check."""
-    terms = mu.primitive_terms()
-    atoms = [term for term in terms if isinstance(term, DiracAtoms)]
-    gauss = [c for term in terms if not isinstance(term, DiracAtoms)
-             for c in _components(term)]
-    pairs = [(2.0, a, g) for term in atoms for a in _components(term)
-             for g in gauss]
-    for i, g1 in enumerate(gauss):
-        pairs += [(1.0, g1, g1)] + [(2.0, g1, g2) for g2 in gauss[i + 1:]]
+    _check_nu_t(q, params)
+    kernel = _query_kernel(covariance_kernel, q, params)
+    atom_pairs, pairs = 0.0, []
+    for w, t1, t2 in _term_pairs(mu):
+        if isinstance(t2, DiracAtoms):
+            atom_pairs += w * _atom_sum(t1, t2, kernel)
+        else:
+            pairs += [(w, c1, c2) for c1 in _components(t1)
+                      for c2 in _components(t2)]
     t, nu = q.t, params.nu
     j0 = [sum(term.mass * heat_kernel(1.0, x - term.mean, nu * t + term.var)
               if isinstance(term, GaussianDensity)
-              else mean_field(t, x, term, nu) for term in terms)
+              else mean_field(t, x, term, nu) for term in mu.primitive_terms())
           for x in (q.x1, q.x2)]
-    kernel = _query_kernel(covariance_kernel, q, params)
-    value = j0[0] * j0[1] + sum(_atom_sum(a1, a2, kernel) for a1 in atoms
-                                for a2 in atoms)
+    value = j0[0] * j0[1] + atom_pairs
     return value + _gaussian_pairs(q, params, pairs) if pairs else value
 
 

@@ -32,13 +32,17 @@ def _split_direct(q, mu, params):
     """The split form, and the direct form by the adaptive QUADPACK route of
     ``two_point(formula="direct")``.  Its atom-density terms are asked for
     1e-12 here, so the reference is tighter than the 1e-9 the split form
-    is held to."""
-    def primitive(mu1, mu2):
+    is held to.  An off-diagonal pair of terms is taken at (x1, x2) and at
+    (x2, x1), as that route takes it."""
+    swapped = TwoPointQuery(q.t, q.x2, q.x1)
+    direct = 0.0
+    for w, mu1, mu2 in measures._term_pairs(mu):
         mixed = isinstance(mu1, DiracAtoms) != isinstance(mu2, DiracAtoms)
         tols = (1e-14, 1e-12) if mixed else (1e-10, 1e-9)
-        return measures._bilinear_primitive(mu1, mu2, q, params, *tols)
-    return (two_point(q, mu, params, formula="split"),
-            measures._bilinear(mu, primitive))
+        for query in ((q,) if w == 1.0 else (q, swapped)):
+            direct += measures._bilinear_primitive(mu1, mu2, query, params,
+                                                   *tols)
+    return two_point(q, mu, params, formula="split"), direct
 
 
 CAUCHY = DensityMeasure(lambda x: 1.0 / (1.0 + np.asarray(x) ** 2),

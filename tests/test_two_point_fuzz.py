@@ -1,10 +1,11 @@
-"""Property tests of ``two-point`` on atoms, Gaussian and sum measure files,
-which the CLI evaluates in closed form.
+"""Property tests of ``two-point`` on atoms, Gaussian, Lebesgue and sum
+measure files.
 
 The first test draws measures and flags from extreme doubles as well as
-moderate values: whatever the request, it must end in a documented exit
-code without raising or warning, print nothing on failure, and print a
-finite value on success; ``second-moment --x x1`` must end as ``two-point
+moderate values, Lebesgue terms (whose sums take the split form)
+included: whatever the request, it must end in a documented exit code
+without raising or warning, print nothing on failure, and print a finite
+value on success; ``second-moment --x x1`` must end as ``two-point
 --x1 x1 --x2 x1`` does, with the same value to the last bit.  The second
 draws moderate, nonnegative measures (so that no term cancels another) and
 checks relations that need no oracle: the swap x1 <-> x2, a common shift
@@ -58,7 +59,7 @@ def _two_point(measure: dict, t, x1, x2, lam, nu=1.0):
     return _request("two-point", measure, t, lam, nu, x1=x1, x2=x2)
 
 
-def _measures(number, var, mass):
+def _measures(number, var, mass, lebesgue=False):
     atoms = st.builds(lambda pairs: {"type": "atoms",
                                      "atoms": [list(p) for p in pairs]},
                       st.lists(st.tuples(number, mass), min_size=1,
@@ -66,7 +67,11 @@ def _measures(number, var, mass):
     gaussian = st.builds(lambda m, v, c: {"type": "gaussian", "mean": m,
                                           "var": v, "mass": c},
                          number, var, mass)
-    primitive = st.one_of(atoms, gaussian)
+    kinds = [atoms, gaussian]
+    if lebesgue:
+        kinds.append(st.builds(lambda c: {"type": "lebesgue", "scale": c},
+                               mass))
+    primitive = st.one_of(*kinds)
     return st.one_of(primitive, st.builds(
         lambda terms: {"type": "sum", "terms": terms},
         st.lists(primitive, min_size=2, max_size=3)))
@@ -79,9 +84,15 @@ def _moderate(lo, hi):
 ANY = st.one_of(st.sampled_from(EXTREMES), _moderate(-3.0, 3.0))
 
 
+# A Lebesgue sum on which the split form's tail bisection once never ended.
+@example(measure={"type": "sum", "terms": [
+    {"type": "lebesgue", "scale": 1.59},
+    {"type": "atoms", "atoms": [[1.78, 0.68]]}]},
+         t=1e-200, x1=1e200, x2=0.72, lam=2.94, nu=2.2)
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(measure=_measures(ANY, st.one_of(st.sampled_from(EXTREMES),
-                                        _moderate(1e-6, 10.0)), ANY),
+                                        _moderate(1e-6, 10.0)), ANY,
+                         lebesgue=True),
        t=ANY, x1=ANY, x2=ANY, lam=ANY, nu=ANY)
 def test_two_point_ends_in_a_documented_exit(measure, t, x1, x2, lam, nu):
     _two_point(measure, t, x1, x2, lam, nu)
