@@ -44,7 +44,7 @@ from scipy import special
 
 from .errors import DomainError
 from .gaussian import first_passage_density, normal_cdf
-from .quadrature import integrate_1d, integrate_split
+from .quadrature import integrate_1d
 
 __all__ = ["JointLocalTimeLaw", "first_passage_convolution",
            "first_passage_rhs_printed"]
@@ -132,8 +132,8 @@ class JointLocalTimeLaw:
                 upper -= np.exp(-(c + v_hi) ** 2 / (2.0 * t))
             return upper / np.sqrt(2.0 * np.pi * t)
 
-        return integrate_split(y_integrand, y_lo, y_hi, a,
-                               abs_tol=1e-12, rel_tol=1e-10)
+        return integrate_1d(y_integrand, y_lo, y_hi, a,
+                            abs_tol=1e-12, rel_tol=1e-10)
 
     # -- sampling --------------------------------------------------------
 
@@ -240,8 +240,8 @@ def first_passage_convolution(t: float, a: float, b: float):
         def in_log(w: float) -> float:
             uu = math.exp(w)  # where uu² underflows, exp(-expo) has too
             return integrand(uu) * uu if uu * uu > 0.0 else 0.0
-        return integrate_split(in_log, -math.inf, -0.5 * math.log(2.0),
-                               math.log(layer), abs_tol=0.0, rel_tol=1e-11)
+        return integrate_1d(in_log, -math.inf, -0.5 * math.log(2.0),
+                            math.log(layer), abs_tol=0.0, rel_tol=1e-11)
 
     lhs = half(aa, bb) + half(bb, aa)
     return float(lhs), 2.0 * math.pi * first_passage_density(t, aa + bb)

@@ -68,7 +68,7 @@ from .gaussian import _LOG_DBL_MAX, heat_kernel, log_phi2_slope
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       require_finite, two_point_kernel, two_point_kernel_at,
                       two_point_lebesgue)
-from .quadrature import integrate_1d, integrate_panels, integrate_split
+from .quadrature import integrate_1d, integrate_panels
 
 __all__ = [
     "GrowthCertificate", "InitialMeasure", "DiracAtoms", "LebesgueScaled",
@@ -447,7 +447,7 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
     if isinstance(mu1, DiracAtoms):
         def against_atom(loc: float) -> Callable[[float], float]:
             return lambda z: f2(z) * point_kernel(loc, z)
-        return sum(m * integrate_split(
+        return sum(m * integrate_1d(
             against_atom(loc), *mu2.support, loc,
             *_peak_cuts(*mu2.support, against_atom(loc),
                         (q.x2, math.sqrt(var)),
@@ -473,11 +473,11 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
                           (q.x_bar, math.sqrt(0.5 * var)))
 
     def outer_integrand(zbar: float) -> float:
-        return integrate_split(inner_at(zbar), *sep_range, 0.0, *sep_cuts,
-                               abs_tol=abs_tol / 10, rel_tol=rel_tol / 10)
+        return integrate_1d(inner_at(zbar), *sep_range, 0.0, *sep_cuts,
+                            abs_tol=abs_tol / 10, rel_tol=rel_tol / 10)
 
-    return integrate_split(outer_integrand, *bar_range, *bar_cuts,
-                           abs_tol=abs_tol, rel_tol=rel_tol)
+    return integrate_1d(outer_integrand, *bar_range, *bar_cuts,
+                        abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 # Panel windows drop what lies beyond e^-_TAIL (~4e-18) of a factor's peak.

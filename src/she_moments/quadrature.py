@@ -4,13 +4,13 @@ Two rules with one error contract: both raise
 :class:`~she_moments.errors.QuadratureError` instead of returning a number
 their own error test did not pass.
 
-* :func:`integrate_1d` is one QUADPACK call (Gauss-Kronrod panels with the
-  standard rational map for infinite tails) on a fixed budget of 200
-  subintervals, with a scalar Python integrand; a QUADPACK warning raises.
-  Every integrand in this package is Gaussian-dominated or exponentially
-  decaying, which is exactly the regime it converges fast in.
-  :func:`integrate_split` calls it on each piece between given cut points:
-  kinks, and the peaks of factors too narrow for QUADPACK's first nodes.
+* :func:`integrate_1d` makes one QUADPACK call (Gauss-Kronrod panels with
+  the standard rational map for infinite tails) per piece between given cut
+  points (kinks, and the peaks of factors too narrow for QUADPACK's first
+  nodes), each on a fixed budget of 200 subintervals, with a scalar Python
+  integrand; a QUADPACK warning raises.  Every integrand in this package is
+  Gaussian-dominated or exponentially decaying, which is exactly the regime
+  it converges fast in.
 * :func:`integrate_panels` is a fixed-order tensor Gauss-Legendre rule on
   caller-chosen panels, called once per block of nodes with a vectorised
   integrand.  It fits integrands that are smooth inside each panel, with
@@ -30,9 +30,8 @@ from .errors import QuadratureError
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
-# QUADPACK's options besides the tolerances: the same budget of 200
-# subintervals for every integral.
-QUADPACK_OPTIONS = {"limit": 200}
+# QUADPACK's budget of subintervals, the same for every integral.
+QUADPACK_LIMIT = 200
 
 # Gauss-Legendre orders of the panel rule: the value comes from the first,
 # the error estimate from its difference to the second.
@@ -44,37 +43,35 @@ BLOCK = 1 << 12
 
 
 def integrate_1d(f: Callable[[float], float], a: float, b: float,
-                 abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> float:
+                 *breaks: float, abs_tol: float = ABS_TOL,
+                 rel_tol: float = REL_TOL) -> float:
     """Integrate ``f`` over ``[a, b]`` (either end may be infinite) in one
-    QUADPACK call on the fixed budget of ``QUADPACK_OPTIONS``.
+    QUADPACK call, on the budget of ``QUADPACK_LIMIT`` subintervals, per
+    piece between the points of ``breaks`` inside ``(a, b)``, so that kinks
+    and narrow peaks of ``f`` fall on piece edges.  The pieces' values are
+    summed in order; a single piece's value is returned as QUADPACK gave it.
 
     QUADPACK's own convergence test is the only one: any warning it issues
     (the budget spent, roundoff, a divergent integral) raises
     QuadratureError at once, as does a non-finite value.
     """
+    cuts = [a, *sorted({p for p in breaks if a < p < b}), b]
+    values = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol,
-                                      **QUADPACK_OPTIONS)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(
-                f"quadrature did not converge on [{a}, {b}]: {exc}") from exc
-    if not np.isfinite(val):
-        raise QuadratureError(f"quadrature returned non-finite value on [{a}, {b}]",
-                              achieved=err, requested=abs_tol)
-    return val
-
-
-def integrate_split(f: Callable[[float], float], a: float, b: float,
-                    *breaks: float, abs_tol: float = ABS_TOL,
-                    rel_tol: float = REL_TOL) -> float:
-    """:func:`integrate_1d` over ``[a, b]`` in pieces cut at every point of
-    ``breaks`` inside ``(a, b)``, so that kinks and narrow peaks of ``f``
-    fall on piece edges."""
-    cuts = [a, *sorted({p for p in breaks if a < p < b}), b]
-    return sum(integrate_1d(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
-               for lo, hi in zip(cuts[:-1], cuts[1:]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            try:
+                val, err = integrate.quad(f, lo, hi, epsabs=abs_tol,
+                                          epsrel=rel_tol, limit=QUADPACK_LIMIT)
+            except integrate.IntegrationWarning as exc:
+                raise QuadratureError(f"quadrature did not converge on "
+                                      f"[{lo}, {hi}]: {exc}") from exc
+            if not np.isfinite(val):
+                raise QuadratureError(f"quadrature returned non-finite value "
+                                      f"on [{lo}, {hi}]",
+                                      achieved=err, requested=abs_tol)
+            values.append(val)
+    return sum(values[1:], values[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,21 +101,18 @@ def _halve(edges: np.ndarray) -> np.ndarray:
 
 def _tensor_sum(f, edges: list[np.ndarray], n: int) -> tuple[float, float]:
     """``(sum of w f, sum of w |f|)`` of the order-``n`` tensor rule,
-    evaluating ``f`` on at most about BLOCK nodes at a time."""
-    rules = [panel_nodes(e, n) for e in edges]
+    evaluating ``f`` on at most about BLOCK nodes at a time.  A 1-D rule is
+    the 2-D one with a one-node inner rule of weight 1, but its ``f`` is
+    still called on 1-D node arrays."""
+    (x, wx), *inner = [panel_nodes(e, n) for e in edges]
+    y, wy = inner[0] if inner else (None, np.ones(1))
+    rows = max(1, BLOCK // wy.size)
     total = mag = 0.0
-    if len(rules) == 1:
-        (x, w), = rules
-        for lo in range(0, x.size, BLOCK):
-            vals = np.broadcast_to(f(x[lo:lo + BLOCK]), w[lo:lo + BLOCK].shape)
-            total += float(w[lo:lo + BLOCK] @ vals)
-            mag += float(w[lo:lo + BLOCK] @ np.abs(vals))
-        return total, mag
-    (x, wx), (y, wy) = rules
-    rows = max(1, BLOCK // y.size)
     for lo in range(0, x.size, rows):
-        xb, wb = x[lo:lo + rows, None], wx[lo:lo + rows]
-        vals = np.broadcast_to(f(xb, y[None, :]), (wb.size, y.size))
+        xb, wb = x[lo:lo + rows], wx[lo:lo + rows]
+        vals = (np.asarray(f(xb))[..., None] if y is None
+                else f(xb[:, None], y[None, :]))
+        vals = np.broadcast_to(vals, (wb.size, wy.size))
         total += float(wb @ vals @ wy)
         mag += float(wb @ np.abs(vals) @ wy)
     return total, mag

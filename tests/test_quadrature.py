@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from she_moments import measures
 from she_moments.cli import main
@@ -19,7 +20,8 @@ from she_moments.measures import (DensityMeasure, DiracAtoms,
                                   GrowthCertificate, LebesgueScaled,
                                   MeasureSum, check_membership,
                                   gaussian_density, mean_field, two_point)
-from she_moments.quadrature import integrate_panels, panel_nodes
+from she_moments.quadrature import (QUADPACK_LIMIT, integrate_1d,
+                                    integrate_panels, panel_nodes)
 
 SPLIT_VS_DIRECT = 1e-9
 
@@ -90,6 +92,26 @@ class TestPanelRule:
         monkeypatch.setattr(quadrature, "BLOCK", 100)
         blocked = integrate_panels(f, *edges)
         assert blocked[0] == pytest.approx(whole[0], rel=1e-14)
+
+
+    def test_one_dimensional_integrand_may_return_a_scalar(self):
+        value, err = integrate_panels(lambda x: 2.0, [0.0, 1.0, 3.0])
+        assert value == pytest.approx(6.0, rel=1e-15) and err < 1e-12
+
+
+class TestQuadpackPieces:
+    def test_one_piece_is_quadpacks_value(self):
+        got = integrate_1d(math.exp, -1.0, 2.0, -1.0, 2.0, 7.0)
+        want, _ = integrate.quad(math.exp, -1.0, 2.0, epsabs=1e-12,
+                                 epsrel=1e-10, limit=QUADPACK_LIMIT)
+        assert got == want
+
+    def test_pieces_between_the_cuts_inside_are_summed_in_order(self):
+        cut = integrate_1d(abs, -1.0, 2.0, 1.0, 5.0, 0.0, -3.0, 1.0)
+        pieces = [integrate_1d(abs, lo, hi)
+                  for lo, hi in ((-1.0, 0.0), (0.0, 1.0), (1.0, 2.0))]
+        assert cut == (pieces[0] + pieces[1]) + pieces[2]
+        assert cut == pytest.approx(2.5, rel=1e-14)
 
 
 class TestSplitAgainstDirect:
