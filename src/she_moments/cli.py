@@ -14,8 +14,9 @@ Conventions:
 * exit codes: 0 ok, 1 verification failure, 2 usage/config, 3 domain,
   4 inadmissible measure, 5 divergence.
 
-Which number came from which route is always explicit (``--method``,
-``--engine``); nothing falls back silently.
+``--method`` and ``--engine`` choose the route.  ``--method closed`` prints
+the split form's quadrature value for sums with a Lebesgue term and for
+library densities, though its ``method`` column reads ``closed``.
 """
 
 from __future__ import annotations

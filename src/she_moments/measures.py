@@ -457,23 +457,22 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
 
     f1 = mu1.f
 
-    def inner_at(zbar: float) -> Callable[[float], float]:
+    # Both factors peak at (z1, z2) = (x1, x2); the guards read the integrand
+    # there, as (x_bar, dx) may round that peak off a factor too narrow to see.
+    def at_peak(_: float) -> float:
+        return f1(q.x1) * f2(q.x2) * point_kernel(q.x1, q.x2)
+
+    bar_range, sep_range = _pair_supports(mu1.support, mu2.support)
+    sep_cuts = _peak_cuts(*sep_range, at_peak, (q.dx, math.sqrt(2.0 * var)))
+    bar_cuts = _peak_cuts(*bar_range, at_peak,
+                          (q.x_bar, math.sqrt(0.5 * var)))
+
+    def outer_integrand(zbar: float) -> float:
         def inner(dz: float) -> float:
             z1 = zbar - 0.5 * dz
             z2 = zbar + 0.5 * dz
             return f1(z1) * f2(z2) * point_kernel(z1, z2)
-        return inner
-
-    # Both factors peak at (zbar, dz) = (x_bar, dx); each one's guard reads
-    # the integrand on the line through that point.
-    bar_range, sep_range = _pair_supports(mu1.support, mu2.support)
-    sep_cuts = _peak_cuts(*sep_range, inner_at(q.x_bar),
-                          (q.dx, math.sqrt(2.0 * var)))
-    bar_cuts = _peak_cuts(*bar_range, lambda zbar: inner_at(zbar)(q.dx),
-                          (q.x_bar, math.sqrt(0.5 * var)))
-
-    def outer_integrand(zbar: float) -> float:
-        return integrate_1d(inner_at(zbar), *sep_range, 0.0, *sep_cuts,
+        return integrate_1d(inner, *sep_range, 0.0, *sep_cuts,
                             abs_tol=abs_tol / 10, rel_tol=rel_tol / 10)
 
     return integrate_1d(outer_integrand, *bar_range, *bar_cuts,

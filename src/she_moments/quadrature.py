@@ -6,8 +6,7 @@ their own error test did not pass.
 
 * :func:`integrate_1d` makes one QUADPACK call (Gauss-Kronrod panels with
   the standard rational map for infinite tails) per piece between given cut
-  points (kinks, and the peaks of factors too narrow for QUADPACK's first
-  nodes), each on a fixed budget of 200 subintervals, with a scalar Python
+  points, each on a fixed budget of 200 subintervals, with a scalar Python
   integrand; a QUADPACK warning raises.  Every integrand in this package is
   Gaussian-dominated or exponentially decaying, which is exactly the regime
   it converges fast in.
@@ -93,17 +92,14 @@ def panel_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _halve(edges: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * edges.size - 1)
-    out[0::2] = edges
-    out[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    return out
+    return np.insert(edges, np.arange(1, edges.size),
+                     0.5 * (edges[:-1] + edges[1:]))
 
 
 def _tensor_sum(f, edges: list[np.ndarray], n: int) -> tuple[float, float]:
     """``(sum of w f, sum of w |f|)`` of the order-``n`` tensor rule,
-    evaluating ``f`` on at most about BLOCK nodes at a time.  A 1-D rule is
-    the 2-D one with a one-node inner rule of weight 1, but its ``f`` is
-    still called on 1-D node arrays."""
+    evaluating ``f`` on at most about BLOCK nodes at a time.  A 1-D rule
+    has a one-node inner rule of weight 1; its ``f`` takes 1-D nodes."""
     (x, wx), *inner = [panel_nodes(e, n) for e in edges]
     y, wy = inner[0] if inner else (None, np.ones(1))
     rows = max(1, BLOCK // wy.size)
@@ -140,9 +136,7 @@ def integrate_panels(f: Callable[..., np.ndarray], *edges,
            or not np.all(np.isfinite(g)) for g in grids):
         raise ValueError("panel edges must be finite and strictly increasing")
     n_hi, n_lo = PANEL_ORDERS
-    for level in range(MAX_DOUBLINGS + 1):
-        if level:
-            grids = [_halve(g) for g in grids]
+    for _level in range(MAX_DOUBLINGS + 1):
         value, mag = _tensor_sum(f, grids, n_hi)
         low, _ = _tensor_sum(f, grids, n_lo)
         err = max(abs(value - low), 64.0 * np.finfo(float).eps * mag)
@@ -153,6 +147,7 @@ def integrate_panels(f: Callable[..., np.ndarray], *edges,
                                   requested=tol)
         if err <= tol:
             return value, err
+        grids = [_halve(g) for g in grids]
     raise QuadratureError(
         f"panel quadrature did not converge after halving every panel "
         f"{MAX_DOUBLINGS} times: error estimate {err:.3g} > {tol:.3g}",

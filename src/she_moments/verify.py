@@ -28,11 +28,13 @@ from .gaussian import (exp_phi, gaussian_product_moment_bound,
                        gaussian_product_split, heat_kernel, normal_cdf)
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       mgf_local_time, second_moment_kernel, two_point_kernel,
-                      two_point_kernel_centered, two_point_lebesgue)
+                      two_point_kernel_at, two_point_kernel_centered,
+                      two_point_lebesgue)
 from .local_time import (JointLocalTimeLaw, first_passage_convolution,
                          first_passage_rhs_printed)
-from .measures import (DiracAtoms, LebesgueScaled, gaussian_density,
-                       second_moment, two_point)
+from .measures import (DiracAtoms, LebesgueScaled, MeasureSum,
+                       gaussian_density, mixture_two_point, second_moment,
+                       two_point)
 from .quadrature import integrate_1d
 from .transforms import (CASE_NAMES, TransformCase, conv_heat_offset_factor,
                          conv_heat_offset_factor_quad, conv_heat_time_factor,
@@ -94,6 +96,8 @@ def suite_identities() -> list[dict]:
     checks: list[dict] = []
 
     # Kernel decomposition and centred-form equivalence, 1000 draws each.
+    # The decomposition's left side is the direct route's float kernel,
+    # written apart from two_point_kernel; both sides share growth_tail.
     worst_dec = worst_eq = worst_split = worst_expphi = 0.0
     for _ in range(1000):
         params = _random_params(rng)
@@ -101,8 +105,8 @@ def suite_identities() -> list[dict]:
         z1, z2, y = rng.uniform(-3, 3, size=3)
         direct = (heat_kernel(t, z1, params.nu) * heat_kernel(t, z2, params.nu)
                   + covariance_kernel(t, z1, z2, y, params))
-        worst_dec = max(worst_dec,
-                        _rel(direct, two_point_kernel(t, z1, z2, y, params)))
+        at = two_point_kernel_at(TwoPointQuery(t, y, 0.0), params)
+        worst_dec = max(worst_dec, _rel(direct, at(y - z1, -z2)))
 
         x1, x2 = rng.uniform(-3, 3, size=2)
         centered = two_point_kernel_centered(t, x1, x2, z1, z2, params)
@@ -207,6 +211,13 @@ def suite_identities() -> list[dict]:
     near = two_point(q, measures["gaussian"], params, formula="split")
     checks.append(_check("identities/two_point_translation",
                          _rel(far, near), 1e-9))
+
+    # The closed form's bivariate-normal (Phi_2) route, which takes an atom
+    # and a Gaussian term, against the split form at its requested 1e-9.
+    mixed = MeasureSum((DiracAtoms(((0.1, 0.6),)), measures["gaussian"]))
+    checks.append(_check("identities/two_point_mixture", _rel(
+        mixture_two_point(q, mixed, params),
+        two_point(q, mixed, params, formula="split")), 1e-9))
 
     # Gaussian product-moment inequality, 200 draws with p <= 4, against the
     # repaired right side (the printed one is false on these ranges; see
@@ -330,12 +341,10 @@ def suite_local_time() -> list[dict]:
 
 def run_suite(name: str) -> list[dict]:
     """Run one named suite (or ``all``); returns the check rows."""
-    if name == "laplace":
-        return suite_laplace()
-    if name == "identities":
-        return suite_identities()
-    if name == "local-time":
-        return suite_local_time()
-    if name == "all":
-        return suite_laplace() + suite_identities() + suite_local_time()
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; expected one of "
+                         f"{SUITE_NAMES}")
+    suites = {"laplace": suite_laplace, "identities": suite_identities,
+              "local-time": suite_local_time}
+    return [row for key, suite in suites.items() if name in (key, "all")
+            for row in suite()]

@@ -139,6 +139,7 @@ class TestVerifyCommand:
                 "conv_heat_time_factor", "conv_heat_offset_factor",
                 "lebesgue_two_point", "delta_second_moment",
                 "two_point_form_agreement", "two_point_translation",
+                "two_point_mixture",
                 "gaussian_moment_inequality_repaired",
                 "first_passage_convolution", "first_passage_scaling",
                 "mgf_bounds")]

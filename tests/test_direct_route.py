@@ -168,6 +168,19 @@ def test_a_factor_below_double_resolution_is_refused(capsys, tmp_path):
     assert "narrower than the spacing" in err
 
 
+def test_a_narrow_peak_rounded_off_by_the_rotation_is_refused():
+    # nu t = 1e-220: the kernel peaks at (z1, z2) = (x1, x2), but x_bar =
+    # 0.5 loses x2, and the integrand read at (x_bar, dx) is 0.  The value,
+    # 1.6e-61, lies inside the peak, which no rule can see.
+    mu = gaussian_density(1e-320, 1e20, mass=1e-20)
+    q = TwoPointQuery(t=1e-20, x1=1.0, x2=3.577856968656879e-31)
+    params = KernelParams(nu=1e-200, lam=1e-320)
+    assert closed_two_point(q, mu, params) == pytest.approx(
+        1e-40 / (2e20 * math.pi), rel=1e-12)
+    with pytest.raises(QuadratureError, match="narrower than the spacing"):
+        two_point(q, mu, params, formula="direct")
+
+
 def test_a_narrow_factor_that_carries_nothing_is_not_refused():
     # At t = 1e-40 the atom's factor at x1 + x2 - 1 = -1 is 1.4e-20 wide,
     # below the spacing of doubles there, but the integrand is 0 at its
