@@ -25,4 +25,4 @@ from .transforms import (TransformCase, conv_heat_offset_factor,
                          laplace_closed, laplace_numeric)
 from .verify import run_suite
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -348,10 +348,13 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
     if isinstance(mu, DensityMeasure):
         sigma = math.sqrt(nu * t)
         w = _gauss_reach(sigma, [mu.certificate], abs(x))
+
+        def integrand(y):
+            return mu.f(y) * heat_kernel(t, x - y, nu)
+        _require_visible(*mu.support, integrand, x, w)
         edges = _graded_edges(mu.support, ((x, w),), x, sigma, 3.0 * sigma)
         return 0.0 if edges is None else integrate_panels(
-            lambda y: mu.f(y) * heat_kernel(t, x - y, nu), edges,
-            abs_tol=1e-10, rel_tol=1e-10)[0]
+            integrand, edges, abs_tol=1e-10, rel_tol=1e-10)[0]
     if isinstance(mu, MeasureSum):
         return float(sum(mean_field(t, x, term, nu) for term in mu.terms))
     raise DomainError(f"unsupported measure type {type(mu).__name__}")
@@ -402,23 +405,33 @@ def _pair_supports(s1: tuple[float, float], s2: tuple[float, float]):
 _PEAK_WIDTHS = 10.0
 
 
+def _require_visible(a: float, b: float, g: Callable[[float], float],
+                     peak: float, reach: float, lost_tol: float = 0.0) -> None:
+    """Refuse a Gaussian factor of the integrand ``g`` with its peak in
+    [a, b] whose reach rounds away (peak + reach == peak): it is narrower
+    than the spacing of doubles there, where no rule can see it.
+    QuadratureError, unless the spike's part of the integral, at most
+    ``2 reach |g(peak)|``, is within ``lost_tol``; at the default 0 that is
+    ``g`` being 0 at the peak (another factor vanishes there, so the spike
+    carries nothing)."""
+    if (a <= peak <= b and not peak - reach < peak < peak + reach
+            and 2.0 * reach * abs(g(peak)) > lost_tol):
+        raise QuadratureError(
+            f"a Gaussian factor of the kernel, reach {reach:.3g} at "
+            f"{peak!r}, is narrower than the spacing of doubles there")
+
+
 def _peak_cuts(a: float, b: float, g: Callable[[float], float],
                *factors: tuple[float, float]) -> list[float]:
     """Cut points for Gaussian factors ``(peak, width)`` of the integrand
     ``g`` on [a, b]: each peak and peak ± _PEAK_WIDTHS widths, so that
     QUADPACK's first nodes on a long piece cannot step over a narrow spike.
-    A factor with its peak in [a, b] whose reach rounds away (peak + 10
-    widths == peak) is narrower than the spacing of doubles there, where no
-    rule can see it: QuadratureError, unless ``g`` is 0 at the peak (another
-    factor vanishes there, so the spike carries nothing)."""
+    A factor whose reach rounds away is refused (:func:`_require_visible`).
+    """
     cuts = []
     for peak, width in factors:
         reach = _PEAK_WIDTHS * width
-        if (a <= peak <= b and not peak - reach < peak < peak + reach
-                and g(peak) != 0.0):
-            raise QuadratureError(
-                f"a Gaussian factor of the kernel, width {width:.3g} at "
-                f"{peak!r}, is narrower than the spacing of doubles there")
+        _require_visible(a, b, g, peak, reach)
         cuts += [peak - reach, peak, peak + reach]
     return cuts
 
@@ -590,13 +603,15 @@ class _SplitKernelScales:
 
 
 def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
-                params: KernelParams, abs_tol: float,
-                rel_tol: float) -> tuple[float, float]:
+                params: KernelParams, abs_tol: float, rel_tol: float,
+                lost_tol: float = 0.0) -> tuple[float, float]:
     """``(value, error estimate)`` of ∬ mu1(dz1) mu2(dz2) K_dag(t, x1 - z1,
     x2 - z2, x1 - x2) for primitive measures, atoms first (as
     :func:`_term_pairs` orders them): an array atom sum, or panelled
     Gauss-Legendre over the density variables on their supports.  The
-    split-form route."""
+    split-form route.  A kernel factor narrower than the spacing of doubles
+    is refused where it could hide more than ``lost_tol``
+    (:func:`_require_visible`)."""
     kernel = _query_kernel(covariance_kernel, q, params)
     if isinstance(mu2, DiracAtoms):
         return _atom_sum(mu1, mu2, kernel), 0.0
@@ -612,12 +627,18 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
                 lambda r: sc.log_sep(r) + _log_growth([cert], abs(loc), r),
                 sc.s)
             w_bar = _gauss_reach(2.0 * sc.sigma, [cert], abs(centre))
+
+            def against_atom(z: float) -> float:
+                return f2(z) * kernel(loc, z)
+            for peak, reach in ((loc, w_sep), (centre, w_bar)):
+                _require_visible(*mu2.support, against_atom, peak, reach,
+                                 lost_tol)
             edges = _graded_edges(mu2.support, ((loc, w_sep), (centre, w_bar)),
                                   loc, sc.first, 2.0 * sc.s)
             if edges is None:
                 continue
-            val, e = integrate_panels(lambda z: f2(z) * kernel(loc, z),
-                                      edges, abs_tol=abs_tol, rel_tol=rel_tol)
+            val, e = integrate_panels(against_atom, edges, abs_tol=abs_tol,
+                                      rel_tol=rel_tol)
             total += m * val
             err += abs(m) * e
         return total, err
@@ -628,17 +649,24 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
                          + _log_growth((c1, c2), x0, 0.5 * r), sc.s)
     w_bar = _gauss_reach(sc.sigma, (c1, c2), x0, 0.5 * w_sep)
     bar_range, sep_range = _pair_supports(mu1.support, mu2.support)
+
+    def integrand(zbar, dz):
+        z1 = zbar - 0.5 * dz
+        z2 = zbar + 0.5 * dz
+        return f1(z1) * f2(z2) * kernel(z1, z2)
+
+    # K_dag peaks at (zbar, dz) = (xbar, 0), and falls off in |dz| within
+    # w_sep; the zbar factor is the one whose reach can round away (the dz
+    # window is centred at 0).
+    _require_visible(*bar_range,
+                     lambda zbar: 2.0 * w_sep * integrand(zbar, 0.0),
+                     q.x_bar, w_bar, lost_tol)
     bar_edges = _graded_edges(bar_range, ((q.x_bar, w_bar),), q.x_bar,
                               3.0 * sc.sigma, 3.0 * sc.sigma)
     sep_edges = _graded_edges(sep_range, ((0.0, w_sep),), 0.0, sc.first,
                               2.0 * sc.s)
     if bar_edges is None or sep_edges is None:
         return 0.0, 0.0
-
-    def integrand(zbar, dz):
-        z1 = zbar - 0.5 * dz
-        z2 = zbar + 0.5 * dz
-        return f1(z1) * f2(z2) * kernel(z1, z2)
 
     return integrate_panels(integrand, bar_edges, sep_edges,
                             abs_tol=abs_tol, rel_tol=rel_tol)
@@ -667,7 +695,9 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
 
     The panels resolve smooth densities; a density that jumps or kinks
     off the panel edges (an indicator, say) makes the split form raise
-    QuadratureError rather than miss its tolerance.
+    QuadratureError rather than miss its tolerance.  So does a heat-kernel
+    window of J0 narrower than the spacing of doubles, or a pair's kernel
+    spike that narrow, unless it hides less than rel_tol * |J0(x1) J0(x2)|.
     """
     _check_nu_t(q, params)
     abs_tol, rel_tol = 1e-10, 1e-9
@@ -675,7 +705,8 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
         j0j0 = (mean_field(q.t, q.x1, mu, params.nu)
                 * mean_field(q.t, q.x2, mu, params.nu))
         return j0j0 + sum(
-            w * _panel_pair(t1, t2, q, params, abs_tol, rel_tol)[0]
+            w * _panel_pair(t1, t2, q, params, abs_tol, rel_tol,
+                            rel_tol * abs(j0j0))[0]
             for w, t1, t2 in _term_pairs(mu))
     if formula == "direct":
         swapped = TwoPointQuery(q.t, q.x2, q.x1)

@@ -8,10 +8,12 @@ each engine's domain tag is used with one of the two tools only
 * :func:`path_generator` serves engines that draw large per-path blocks in
   order.  It seeds numpy's SFC64 from the path's two key words through
   ``np.random.SeedSequence`` and draws sequentially; SFC64 has no counter
-  to address, and generates words faster than Philox.  It serves
-  uniforms to the SPDE solver, one per node and step, whose signs are its
-  two-point noise, and normals to the occupation-time engine.  The stream
-  depends only on the key, never on batching or worker assignment.
+  to address, and generates words faster than Philox.  It serves raw
+  64-bit words to the SPDE solver, one bit per node and step (its
+  two-point noise; ceil(nodes / 64) words a step through
+  ``bit_generator.random_raw``), and normals to the occupation-time
+  engine.  The stream depends only on the key, never on batching or
+  worker assignment.
 
 * :func:`uniforms_at` serves cheap consumers (the Feynman-Kac sampler) that
   address "uniform block j of path i" as pure random access, which needs

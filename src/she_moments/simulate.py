@@ -6,10 +6,13 @@ Two independent estimators of the same two-point moments:
   explicit Euler scheme on a finite grid (biased by discretisation,
   oblivious to the closed forms being checked).  Its noise is two-point:
   each node and step draws ``+-sqrt(dt / dx)`` with probability 1/2 each,
-  the sign of one uniform (the simplified weak Euler scheme; Kloeden &
-  Platen 1992, section 14.1).  The scheme's second moment under linear
-  ``rho`` uses only E xi = 0 and E xi^2 = 1 of its noise, so it is the
-  one Gaussian noise would give;
+  one bit of the path's stream (the simplified weak Euler scheme; Kloeden
+  & Platen 1992, section 14.1).  Each step is one multiply-add per node,
+  ``u <- u*m + r*(u_left + u_right)``, with the noise of linear ``rho``
+  folded into the node weight ``m``; the exact lattice second moment
+  runs the same step.  The scheme's second moment under linear ``rho``
+  uses only E xi = 0 and E xi^2 = 1 of its noise, so it is the one
+  Gaussian noise would give;
 
 * ``fk_two_point`` averages the path functional
 
@@ -214,97 +217,109 @@ def _initial_field(grid: SpdeGrid, mu: InitialMeasure) -> np.ndarray:
     return u
 
 
-def _spde_step(u: np.ndarray, lap: np.ndarray, r: float, dirichlet: bool,
-               rho: RhoSpec | None = None, noise: np.ndarray | None = None,
-               tmp: np.ndarray | None = None) -> None:
-    """One explicit Euler step of the fields ``u`` (rows), in place.
+def _spde_step(u: np.ndarray, m, r: float, dirichlet: bool,
+               work: np.ndarray) -> None:
+    """One explicit Euler step of the fields ``u`` (rows), in place:
+    ``u <- u*m + r*(u_left + u_right)``.
 
-    ``noise`` holds ``+-sqrt(dt / dx)``, the two-point noise, one row per
-    field; without it the step is the noise-free heat step.  ``lap`` and
-    ``tmp`` are work buffers shaped like ``u``; ``lap`` is C-contiguous.
-    The order of operations is part of the reproducibility contract:
-    ``u + (r*lap + rho(u)*noise)`` with ``lap = (u[:-2] - 2u) + u[2:]``.
+    ``m`` is the node's own weight: ``1 - 2r`` for the heat step, or per
+    node ``1 - 2r +- lam*sqrt(dt / dx)`` under linear ``rho``.  A Neumann
+    end's two neighbours are its inner neighbour twice (ghost nodes
+    ``2 u_1`` and ``2 u_{n-2}``); Dirichlet ends are set to 0.  ``work`` is
+    a C-contiguous buffer shaped like ``u``.  The order of operations is
+    part of the reproducibility contract.
 
-    The Laplacian runs over the rows laid end to end, one long contiguous
-    pass instead of one short one per row; the entries that straddle two
-    rows are the boundary entries, set just after.  A ``u`` that is not
-    C-contiguous (a transposed view) is read through a copy.
+    The neighbour sums run over the rows laid end to end, one long
+    contiguous pass instead of one short one per row; the entries that
+    straddle two rows are the end entries, set just after.  A ``u`` that is
+    not C-contiguous (a transposed view) is read through a copy.
     """
     flat = u.reshape(-1)
-    inner = lap.reshape(-1)[1:-1]
-    np.multiply(flat[1:-1], 2.0, out=inner)
-    np.subtract(flat[:-2], inner, out=inner)
-    inner += flat[2:]
+    np.add(flat[:-2], flat[2:], out=work.reshape(-1)[1:-1])
     if dirichlet:
-        lap[:, 0] = lap[:, -1] = 0.0
+        work[:, 0] = work[:, -1] = 0.0
     else:
-        np.subtract(u[:, 1], u[:, 0], out=lap[:, 0])
-        lap[:, 0] *= 2.0
-        np.subtract(u[:, -2], u[:, -1], out=lap[:, -1])
-        lap[:, -1] *= 2.0
-    lap *= r
-    if noise is None:
-        u += lap
-    else:
-        rho(u, out=tmp)
-        tmp *= noise
-        tmp += lap
-        u += tmp
+        np.multiply(u[:, 1], 2.0, out=work[:, 0])
+        np.multiply(u[:, -2], 2.0, out=work[:, -1])
+    work *= r
+    u *= m
+    u += work
     if dirichlet:
         u[:, 0] = u[:, -1] = 0.0
 
 
-# Bytes of the noise buffer shared by one batch's fields: a 250-path batch
-# on 331 nodes draws 25 steps at a time (17 MB, where 198 steps took
-# 131 MB per batch and most of a two-worker run's memory).
+# Bytes of the noise words buffer shared by one batch's fields: a 250-path
+# batch on 331 nodes draws 1,398 steps at a time.
 _NOISE_BUFFER_BYTES = 1 << 24
+
+
+def _noise_bits(gens: list, n_steps: int, nx: int):
+    """Yield, step by step, the bits of the two-point noise of the fields
+    driven by ``gens``: a (fields, nx) uint8 array, 1 for ``+sqrt(dt/dx)``
+    and 0 for ``-sqrt(dt/dx)``.
+
+    Each step takes ceil(nx / 64) raw 64-bit words from each field's stream
+    (``bit_generator.random_raw``); bit j of word w, least significant
+    first, drives node 64w + j, whatever the host's byte order, and the
+    bits past nx are discarded.  Words are drawn in chunks of steps into
+    one buffer; one stream drawn in chunks gives the same words as per-step
+    draws.
+    """
+    n_words = -(-nx // 64)
+    chunk = max(1, _NOISE_BUFFER_BYTES // (8 * len(gens) * n_words))
+    # Step-major, so that each step reads one contiguous (fields, words)
+    # slab.  The buffer is an anonymous mapping of its own, returned to the
+    # OS when the batch frees it: a malloc'd block this size stays resident
+    # in the arena of the worker thread that freed it, and the fresh threads
+    # of each request may take fresh arenas, each of which then keeps one.
+    shape = (min(chunk, n_steps), len(gens), n_words)
+    words = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
+                          dtype=np.uint64).reshape(shape)
+    for start in range(0, n_steps, chunk):
+        steps = words[:min(chunk, n_steps - start)]
+        for p, g in enumerate(gens):
+            steps[:, p] = g.bit_generator.random_raw(
+                steps.shape[0] * n_words).reshape(-1, n_words)
+        for step in steps:
+            yield np.unpackbits(step.astype("<u8", copy=False).view(np.uint8),
+                                axis=-1, count=nx, bitorder="little")
 
 
 def _evolve(grid: SpdeGrid, u: np.ndarray, rho: RhoSpec, nu: float,
             gens: list) -> None:
     """Evolve the fields ``u`` (row ``p`` driven by ``gens[p]``) to t_final,
-    in place.  Each node and step takes one uniform u from the field's
-    stream, and its noise is ``copysign(sqrt(dt / dx), u - 1/2)``: exactly
-    ``+-sqrt(dt / dx)`` with probability 1/2 each.  Noise is drawn in chunks
-    of steps; one stream drawn in chunks gives the same uniforms as per-step
-    draws."""
-    nx = grid.n_nodes
-    n_steps = grid.n_time_steps
+    in place.  Each node and step takes one bit b of the field's stream
+    (:func:`_noise_bits`), and its noise is ``(2b - 1) sqrt(dt / dx)``:
+    exactly ``+-sqrt(dt / dx)`` with probability 1/2 each.  Every step is
+    :func:`_spde_step`: linear ``rho`` folds its noise into the node weight,
+    ``m = (1 - 2r - lam s) + b (2 lam s)`` with ``s = sqrt(dt / dx)``, one
+    multiply and one add; clipped ``rho`` takes the heat step and adds
+    ``rho(u) (2b - 1) s``.  Zero ``rho`` draws nothing."""
     r = nu * grid.dt / (2.0 * grid.dx ** 2)
-    noise_scale = math.sqrt(grid.dt) / math.sqrt(grid.dx)
+    scale = math.sqrt(grid.dt) / math.sqrt(grid.dx)
+    heat = 1.0 - 2.0 * r
     dirichlet = grid.boundary == "dirichlet0"
-    chunk = max(1, _NOISE_BUFFER_BYTES // (8 * len(gens) * nx))
-
-    lap = np.empty_like(u)
-    tmp = None if rho.is_zero else np.empty_like(u)
-    # One noise buffer for all fields in step-major order, so that each
-    # step reads one contiguous (fields, nodes) slab.  Each path's stream
-    # is drawn into ``draw`` and its signs written into its column of the
-    # buffer.  The buffer is an anonymous mapping of its own, returned to
-    # the OS when the batch frees it: a malloc'd block this size stays
-    # resident in the arena of the worker thread that freed it, and the
-    # fresh threads of each request may take fresh arenas, each of which
-    # then keeps a buffer.
-    noise = draw = None
-    if not rho.is_zero:
-        shape = (min(chunk, n_steps), len(gens), nx)
-        noise = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))
-                              ).reshape(shape)
-        draw = np.empty((len(noise), nx))
-    step = 0
+    work = np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        while step < n_steps:
-            this_chunk = min(chunk, n_steps - step)
-            if noise is not None:
-                for p, g in enumerate(gens):
-                    g.random(out=draw[:this_chunk])
-                    draw[:this_chunk] -= 0.5
-                    np.copysign(noise_scale, draw[:this_chunk],
-                                out=noise[:this_chunk, p])
-            for k in range(this_chunk):
-                _spde_step(u, lap, r, dirichlet, rho,
-                           None if noise is None else noise[k], tmp)
-            step += this_chunk
+        if rho.is_zero:
+            for _ in range(grid.n_time_steps):
+                _spde_step(u, heat, r, dirichlet, work)
+            return
+        linear = rho.kind == "linear"
+        jump, base = ((2.0 * rho.lam * scale, heat - rho.lam * scale)
+                      if linear else (2.0 * scale, -scale))
+        gain = np.empty_like(u)
+        kick = None if linear else np.empty_like(u)
+        for bits in _noise_bits(gens, grid.n_time_steps, grid.n_nodes):
+            np.multiply(bits, jump, out=gain)
+            gain += base
+            if linear:
+                _spde_step(u, gain, r, dirichlet, work)
+            else:
+                rho(u, out=kick)
+                kick *= gain
+                _spde_step(u, heat, r, dirichlet, work)
+                u += kick
 
 
 def _run_spde_batch(grid: SpdeGrid, u0_field: np.ndarray, rho: RhoSpec,
@@ -322,7 +337,8 @@ def spde_solve_path(grid: SpdeGrid, mu: InitialMeasure, rho: RhoSpec,
 
     Explicit Euler with space-time white noise discretised as two-point
     noise: ``+-sqrt(dt / dx)`` per node and step, with probability 1/2
-    each, the sign of one uniform drawn from ``rng``.  Raises
+    each, one bit of the raw words of ``rng``'s bit generator (see
+    :func:`_noise_bits`).  Raises
     DivergenceError if the field leaves double precision (coarse grids with
     strong coupling can blow up; this is reported, never clipped).  A
     non-finite interior node stays non-finite, so checking the final field
@@ -347,8 +363,9 @@ def spde_lattice_second_moment(grid: SpdeGrid, mu: InitialMeasure,
     E xi = 0 and E xi^2 = 1, so
     ``M <- B M B^T + (lam^2 dt / dx) diag(diag M)``: the same recursion for
     the engine's two-point ``xi = +-1`` as for standard normals.
-    ``B`` is the noise-free step, applied to the rows of ``M`` and then to
-    its columns.  ``M[i1, i2]`` is the exact mean of the SPDE Monte Carlo
+    ``B`` is the noise-free step, the engine's own :func:`_spde_step` at
+    ``m = 1 - 2r``, applied to the rows of ``M`` and then to its columns.
+    ``M[i1, i2]`` is the exact mean of the SPDE Monte Carlo
     estimator on the same grid, discretisation bias included; it tends to
     the continuum two-point function at O(dx) (Walsh 1986; Bertini &
     Cancrini, J. Stat. Phys. 78, 1995).
@@ -356,8 +373,9 @@ def spde_lattice_second_moment(grid: SpdeGrid, mu: InitialMeasure,
     grid.check_cfl(nu)
     u0 = _initial_field(grid, mu)
     m = np.outer(u0, u0)
-    lap = np.empty_like(m)
+    work = np.empty_like(m)
     r = nu * grid.dt / (2.0 * grid.dx ** 2)
+    heat = 1.0 - 2.0 * r
     gain = lam * lam * grid.dt / grid.dx
     dirichlet = grid.boundary == "dirichlet0"
     diag = np.diag_indices_from(m)
@@ -365,8 +383,8 @@ def spde_lattice_second_moment(grid: SpdeGrid, mu: InitialMeasure,
         for _ in range(grid.n_time_steps):
             # Zero on Dirichlet boundary nodes: the field is zero there.
             noise_var = gain * m[diag]
-            _spde_step(m, lap, r, dirichlet)
-            _spde_step(m.T, lap, r, dirichlet)
+            _spde_step(m, heat, r, dirichlet, work)
+            _spde_step(m.T, heat, r, dirichlet, work)
             m[diag] += noise_var
     return m
 

@@ -13,8 +13,8 @@ from she_moments.errors import KernelOverflowError, QuadratureError
 from she_moments.kernels import (KernelParams, TwoPointQuery,
                                  two_point_kernel, two_point_kernel_at)
 from she_moments.measures import (DiracAtoms, LebesgueScaled, MeasureSum,
-                                  closed_two_point, gaussian_density,
-                                  two_point)
+                                  _panel_pair, closed_two_point,
+                                  gaussian_density, two_point)
 
 
 def _rel(a, b):
@@ -179,6 +179,24 @@ def test_a_narrow_peak_rounded_off_by_the_rotation_is_refused():
         1e-40 / (2e20 * math.pi), rel=1e-12)
     with pytest.raises(QuadratureError, match="narrower than the spacing"):
         two_point(q, mu, params, formula="direct")
+    # The split form's J0 = mean_field reads the heat kernel's window
+    # around x1, 9e-110 wide, which rounds away at 1.0 just the same.
+    with pytest.raises(QuadratureError, match="narrower than the spacing"):
+        two_point(q, mu, params, formula="split")
+
+
+@pytest.mark.parametrize("term1", [
+    gaussian_density(1e-320, 1e20, mass=1e-20), DiracAtoms(((1.0, 1.0),)),
+], ids=["density", "atom"])
+def test_the_split_pair_refuses_a_peak_that_rounds_away(term1):
+    # At x1 = x2 = 1 and nu t = 1e-220, K_dag peaks at z1 = z2 = 1 with
+    # lam^2 / 2 nu = 1/2; its zbar factor reaches 6e-110 about its peak,
+    # below the spacing of doubles at 1.  The pair integral once read 0.
+    q = TwoPointQuery(t=1e-20, x1=1.0, x2=1.0)
+    params = KernelParams(nu=1e-200, lam=1e-100)
+    with pytest.raises(QuadratureError, match="narrower than the spacing"):
+        _panel_pair(term1, gaussian_density(1e-320, 1e20, mass=1e-20), q,
+                    params, 1e-10, 1e-9)
 
 
 def test_a_narrow_factor_that_carries_nothing_is_not_refused():
@@ -192,3 +210,4 @@ def test_a_narrow_factor_that_carries_nothing_is_not_refused():
     closed = closed_two_point(q, mu, params)
     assert closed == pytest.approx(0.15915494309189535, rel=1e-12)
     assert _rel(two_point(q, mu, params, formula="direct"), closed) <= 1e-6
+    assert _rel(two_point(q, mu, params, formula="split"), closed) <= 1e-6

@@ -409,14 +409,17 @@ class TestLatticeSecondMoment:
             assert 1.8 < coarse / fine < 2.2
         assert errs[-1] < 0.01 * closed
 
-    @pytest.mark.parametrize("mu,x2", [
-        (LebesgueScaled(1.0), 0.0),
-        (DiracAtoms(((0.0, 1.0),)), 0.3),
-    ], ids=["lebesgue", "atom"])
-    def test_monte_carlo_matches_lattice_mean(self, mu, x2):
+    @pytest.mark.parametrize("mu,x2,boundary", [
+        (LebesgueScaled(1.0), 0.0, "neumann0"),
+        (DiracAtoms(((0.0, 1.0),)), 0.3, "neumann0"),
+        (LebesgueScaled(1.0), 0.0, "dirichlet0"),
+        (DiracAtoms(((0.0, 1.0),)), 0.3, "dirichlet0"),
+    ], ids=["lebesgue", "atom", "lebesgue-dirichlet0", "atom-dirichlet0"])
+    def test_monte_carlo_matches_lattice_mean(self, mu, x2, boundary):
         # On its own grid the Monte Carlo estimator has no bias against the
         # lattice moment, so only its statistical error remains.
-        grid = SpdeGrid(L=3.3, dx=0.1, dt=0.005, t_final=0.3)
+        grid = SpdeGrid(L=3.3, dx=0.1, dt=0.005, t_final=0.3,
+                        boundary=boundary)
         q = TwoPointQuery(t=0.3, x1=0.0, x2=x2)
         m = spde_lattice_second_moment(grid, mu, 1.0, 1.0)
         exact = m[grid.index_of(q.x1), grid.index_of(q.x2)]
@@ -426,67 +429,112 @@ class TestLatticeSecondMoment:
         assert est.n_divergent == 0
         assert abs(est.value - exact) <= 5.0 * est.std_error
 
+    @pytest.mark.parametrize("boundary", ["neumann0", "dirichlet0"])
+    def test_step_is_the_tridiagonal_heat_matrix(self, boundary):
+        # The heat step applied to the rows of the identity is B^T: 1 - 2r
+        # on the diagonal, r beside it, and 2r from a Neumann end's inner
+        # neighbour (its ghost node); Dirichlet ends stay 0.
+        n, r = 9, 0.3
+        b = (np.diag(np.full(n, 1.0 - 2.0 * r)) + np.diag(np.full(n - 1, r), 1)
+             + np.diag(np.full(n - 1, r), -1))
+        if boundary == "neumann0":
+            b[0, 1] = b[-1, -2] = 2.0 * r
+        else:
+            b[0] = b[-1] = 0.0
+        u = np.eye(n)
+        simulate._spde_step(u, 1.0 - 2.0 * r, r, boundary == "dirichlet0",
+                            np.empty_like(u))
+        assert np.allclose(u.T, b, rtol=0.0, atol=1e-15)
 
-def _batch_noise(monkeypatch, grid: SpdeGrid, seed: int, lo: int,
-                 hi: int) -> np.ndarray:
-    """The noise slab ``_evolve`` hands each step of a batch of paths
-    [lo, hi), stacked as (steps, paths, nodes)."""
-    slabs = []
-    step = simulate._spde_step
 
-    def record(u, lap, r, dirichlet, rho=None, noise=None, tmp=None):
-        slabs.append(noise.copy())
-        step(u, lap, r, dirichlet, rho, noise, tmp)
-
-    monkeypatch.setattr(simulate, "_spde_step", record)
-    simulate._run_spde_batch(grid, np.ones(grid.n_nodes), RhoSpec.linear(1.0),
-                             1.0, seed, lo, hi)
-    return np.stack(slabs)
+def _bits(grid: SpdeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The noise bits of paths [lo, hi) as (steps, paths, nodes)."""
+    gens = [simulate.path_generator(seed, DOMAIN_SPDE, i)
+            for i in range(lo, hi)]
+    return np.stack(list(simulate._noise_bits(gens, grid.n_time_steps,
+                                              grid.n_nodes)))
 
 
 class TestTwoPointNoise:
-    """The SPDE engine's noise: +-sqrt(dt/dx) with probability 1/2 each, the
-    sign of one uniform of the path's SFC64 stream per node and step."""
+    """The SPDE engine's noise: +-sqrt(dt/dx) with probability 1/2 each, one
+    bit of the path's SFC64 stream per node and step."""
 
-    GRID = SpdeGrid(L=1.0, dx=0.05, dt=1e-3, t_final=0.1)
+    GRID = SpdeGrid(L=1.5, dx=0.04, dt=1e-3, t_final=0.1)
 
-    @staticmethod
-    def _scale(grid: SpdeGrid) -> float:
-        # The engine's own expression for sqrt(dt / dx).
-        return math.sqrt(grid.dt) / math.sqrt(grid.dx)
-
-    def test_every_entry_is_plus_or_minus_the_scale(self, monkeypatch):
-        noise = _batch_noise(monkeypatch, self.GRID, 5, 0, 3)
-        assert noise.shape == (self.GRID.n_time_steps, 3, self.GRID.n_nodes)
-        scale = self._scale(self.GRID)
-        assert np.all(np.abs(noise) == scale)
-        assert np.any(noise > 0) and np.any(noise < 0)
+    def test_every_entry_is_plus_or_minus_the_scale(self):
+        # r = nu dt / 2 dx^2 = 1/4 on a field of alternating signs makes
+        # every node's heat step exactly 0, so one step of clipped rho
+        # (lam = 1, clip above 1) leaves rho(u) xi = u xi: the noise itself.
+        grid = SpdeGrid(L=2.0, dx=2.0 ** -4, dt=2.0 ** -9, t_final=2.0 ** -9)
+        u0 = (-1.0) ** np.arange(grid.n_nodes)
+        fields = simulate._run_spde_batch(grid, u0, RhoSpec.clipped(1.0, 2.0),
+                                          1.0, seed=5, lo=0, hi=40)
+        noise = fields * u0
+        scale = math.sqrt(grid.dt) / math.sqrt(grid.dx)
+        assert noise.shape == (40, grid.n_nodes)
+        assert np.array_equal(noise, np.where(_bits(grid, 5, 0, 40)[0] == 1,
+                                              scale, -scale))
 
     def test_signs_are_a_known_answer(self, monkeypatch):
-        # 7-step chunks (15 of them, the last one partial): each path's row
-        # is still its own stream's uniforms in order, u < 1/2 giving -.
+        # 7-step chunks (15 of them, the last one partial) of 76 nodes, two
+        # words a step: bit j of word w, least significant first, drives
+        # node 64 w + j; bits 76-127 are dropped.
         seed, lo, hi = 1011, 17, 21
         grid = self.GRID
+        n_words = 2
+        assert 64 < grid.n_nodes <= 64 * n_words
         monkeypatch.setattr(simulate, "_NOISE_BUFFER_BYTES",
-                            7 * 8 * (hi - lo) * grid.n_nodes)
-        noise = _batch_noise(monkeypatch, grid, seed, lo, hi)
-        scale = self._scale(grid)
+                            7 * 8 * (hi - lo) * n_words)
+        assert grid.n_time_steps % 7 != 0
+        bits = _bits(grid, seed, lo, hi)
+        assert bits.shape == (grid.n_time_steps, hi - lo, grid.n_nodes)
         for p, i in enumerate(range(lo, hi)):
-            gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-                [int(w) for w in path_key(seed, DOMAIN_SPDE, i)])))
-            u = gen.random((grid.n_time_steps, grid.n_nodes))
-            assert np.array_equal(noise[:, p], np.where(u < 0.5, -scale,
-                                                        scale))
+            sfc = np.random.SFC64(np.random.SeedSequence(
+                [int(w) for w in path_key(seed, DOMAIN_SPDE, i)]))
+            words = sfc.random_raw(grid.n_time_steps * n_words)
+            want = [[(int(words[n_words * k + node // 64]) >> (node % 64)) & 1
+                     for node in range(grid.n_nodes)]
+                    for k in range(grid.n_time_steps)]
+            assert np.array_equal(bits[:, p], want)
 
-    def test_sign_share_and_lag_one_correlation(self, monkeypatch):
+    def test_sign_share_and_lag_one_correlation(self):
         # 4 paths x 1001 nodes x 250 steps = 1,001,000 signs; each path's
-        # signs in stream order.  Share of + and the correlation of
-        # consecutive signs, each within 5 sigma of 1/2 and 0.
+        # signs in stream order, so consecutive pairs include neighbours in
+        # one word, across words and across steps.  Share of + and the
+        # correlation of consecutive signs, each within 5 sigma of 1/2 and 0.
         grid = SpdeGrid(L=5.0, dx=0.01, dt=1e-4, t_final=0.025)
-        noise = _batch_noise(monkeypatch, grid, 2, 0, 4)
-        signs = np.sign(noise).transpose(1, 0, 2).reshape(4, -1)
+        bits = _bits(grid, 2, 0, 4).transpose(1, 0, 2).reshape(4, -1)
+        signs = 2.0 * bits - 1.0
         n = signs.size
         assert n >= 10 ** 6
         assert abs(np.mean(signs > 0) - 0.5) < 5.0 * 0.5 / math.sqrt(n)
         lag = (signs[:, :-1] * signs[:, 1:]).ravel()
         assert abs(lag.mean()) < 5.0 / math.sqrt(lag.size)
+
+    def test_zero_rho_draws_no_words(self):
+        # After a zero-rho evolve each stream still starts at its first word.
+        gens = [simulate.path_generator(3, DOMAIN_SPDE, i) for i in range(2)]
+        u = np.ones((2, self.GRID.n_nodes))
+        simulate._evolve(self.GRID, u, RhoSpec.zero(), 1.0, gens)
+        for i, g in enumerate(gens):
+            fresh = simulate.path_generator(3, DOMAIN_SPDE, i)
+            assert (g.bit_generator.random_raw()
+                    == fresh.bit_generator.random_raw())
+
+    @pytest.mark.parametrize("boundary", ["neumann0", "dirichlet0"])
+    def test_clipped_rho_beyond_reach_gives_the_linear_fields(self, boundary):
+        # clip = 1e300 never bites, so clipped rho is linear rho computed
+        # another way (heat step plus rho(u) xi against xi folded into the
+        # node weight).  Equal to rounding only if both read the same bits
+        # in the same order.
+        grid = SpdeGrid(L=1.0, dx=0.05, dt=1e-3, t_final=0.5,
+                        boundary=boundary)
+        u0 = simulate._initial_field(grid, gaussian_density(0.1, 0.2, 2.0))
+        linear = simulate._run_spde_batch(grid, u0, RhoSpec.linear(1.3), 1.0,
+                                          seed=29, lo=0, hi=6)
+        clipped = simulate._run_spde_batch(grid, u0,
+                                           RhoSpec.clipped(1.3, 1e300), 1.0,
+                                           seed=29, lo=0, hi=6)
+        assert not np.array_equal(clipped, linear)
+        assert np.max(np.abs(clipped - linear)) <= 1e-12 * np.max(
+            np.abs(linear))

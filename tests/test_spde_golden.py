@@ -1,13 +1,14 @@
 """Bit-identity pins for the explicit SPDE stencil.
 
-The digests below were computed from the two-copy stencil that preceded the
-shared in-place step function.  Monte Carlo value fields are part of the
-reproducibility contract, so any rewrite of the step has to reproduce them
-bit for bit.  If one of these fails, the stepping arithmetic changed: either
+Monte Carlo value fields are part of the reproducibility contract, so any
+rewrite of the step has to reproduce these digests bit for bit.  If one of
+them fails, the stepping arithmetic or the noise draw changed: either
 restore the old order of operations or bump the library version and record
-the change.  The noise-bearing batch pins were last re-pinned for version
-0.5.0, whose noise is two-point: ±sqrt(dt/dx), one SFC64 uniform's sign
-per node and step.
+the change.  All were last re-pinned for version 0.6.0, whose noise is one
+bit of the path's SFC64 stream per node and step (ceil(nodes / 64) raw
+words a step), and whose every step, the exact lattice recursion's
+included, is the one multiply-add ``u <- u*m + r*(u_left + u_right)``.
+The heat and lattice pins moved only by rounding.
 """
 
 import hashlib
@@ -34,15 +35,20 @@ def _sha1(a: np.ndarray) -> str:
 
 
 def _batch_grid(boundary: str) -> SpdeGrid:
-    # 41 nodes: a 4-path batch draws its noise in chunks of
-    # _NOISE_BUFFER_BYTES // (8 * 4 * 41) = 12,787 steps, so the 1,700 steps
+    # 41 nodes, one word a step: a 4-path batch draws its noise in chunks of
+    # _NOISE_BUFFER_BYTES // (8 * 4 * 1) = 524,288 steps, so the 1,700 steps
     # are one partial chunk.  test_noise_chunking_leaves_fields_unchanged
     # crosses chunk boundaries.
     return SpdeGrid(L=1.0, dx=0.05, dt=1e-3, t_final=1.7, boundary=boundary)
 
 
+def _words_per_step(grid: SpdeGrid) -> int:
+    return -(-grid.n_nodes // 64)
+
+
 def _chunk_steps(grid: SpdeGrid, n_paths: int) -> int:
-    return simulate._NOISE_BUFFER_BYTES // (8 * n_paths * grid.n_nodes)
+    return simulate._NOISE_BUFFER_BYTES // (8 * n_paths
+                                            * _words_per_step(grid))
 
 
 def _batch_fields(boundary: str, rho: str) -> np.ndarray:
@@ -52,12 +58,12 @@ def _batch_fields(boundary: str, rho: str) -> np.ndarray:
 
 
 BATCH_DIGESTS = {
-    ("neumann0", "linear"): "35b04220bb4c0af09e75913260e0d938347e53a5",
-    ("neumann0", "clipped"): "e062a1949e4737d4d04e0bb3b0bf01b6d6c33029",
-    ("neumann0", "zero"): "ebb458cd201cd791ffdb57de7ab75ae37935364f",
-    ("dirichlet0", "linear"): "045edcaaf6de92c270a7474f40a1e464df28c321",
-    ("dirichlet0", "clipped"): "41a4ab729213b708f689b39e3bcaf5c28e031916",
-    ("dirichlet0", "zero"): "c664b170bb1d9131dbd38481c28e7dc0442858d7",
+    ("neumann0", "linear"): "a4158fa1e27e4d2df593b737baeeace87efd9fab",
+    ("neumann0", "clipped"): "a07c7418f4532fa2bcfd40e935eabb718c7ddd44",
+    ("neumann0", "zero"): "9144dbde724206c23b8d7f81efd15ed1c3af8915",
+    ("dirichlet0", "linear"): "6345ce411fbfc43a645d193496c7b5c702973fe5",
+    ("dirichlet0", "clipped"): "624e7a726bea2f7011b469792ff8a6a08ff1e967",
+    ("dirichlet0", "zero"): "4bb5077ac4fe35f4d413d0f22e707ebfc02ebf85",
 }
 
 
@@ -73,13 +79,13 @@ def test_run_spde_batch_fields_are_pinned(boundary, rho):
 @pytest.mark.parametrize("boundary", ["neumann0", "dirichlet0"])
 @pytest.mark.parametrize("rho", ["linear", "clipped"])
 def test_noise_chunking_leaves_fields_unchanged(monkeypatch, boundary, rho):
-    # One stream drawn in chunks gives the same normals as one long draw:
+    # One stream drawn in chunks gives the same words as one long draw:
     # 7-step chunks (243 of them, the last one partial) reproduce the
     # single-chunk fields bit for bit.
     default = _batch_fields(boundary, rho)
     grid = _batch_grid(boundary)
     monkeypatch.setattr(simulate, "_NOISE_BUFFER_BYTES",
-                        7 * 8 * 4 * grid.n_nodes)
+                        7 * 8 * 4 * _words_per_step(grid))
     assert _chunk_steps(grid, 4) == 7
     assert grid.n_time_steps % 7 != 0
     assert np.array_equal(_batch_fields(boundary, rho), default)
@@ -87,13 +93,13 @@ def test_noise_chunking_leaves_fields_unchanged(monkeypatch, boundary, rho):
 
 SOLVE_DIGESTS = {
     ("neumann0", "linear", "gaussian"):
-        "56191413b80fb8a6979868111a5def4dd8138f28",
+        "cbe943c63a284abe885d7e7e3c24c50c2bfde6fd",
     ("neumann0", "clipped", "lebesgue"):
-        "ea93ec393ca1c252d580ccda4f84ddc62d63c9b1",
+        "312628406151f9579b6ff01c1bc1bd606774c0ec",
     ("dirichlet0", "linear", "lebesgue"):
-        "b690323fcd11cfc815f43b32c96137fcb61e8320",
+        "b3c6f9e6f7ce2b3de1817cec1ce6814f4394ebbd",
     ("dirichlet0", "clipped", "gaussian"):
-        "10e30e56d38f270bc57cce26096e74ca0e37826b",
+        "5b29a0e750fda5affc8c7138b9c65e755513f3c7",
 }
 
 MEASURES = {"gaussian": gaussian_density(-0.2, 0.1),
@@ -110,10 +116,10 @@ def test_spde_solve_path_field_is_pinned(boundary, rho, measure):
 
 # The exact second-moment recursion steps the rows of M and then its
 # columns, a transposed view: the one caller of the step whose fields are
-# not C-contiguous.  Pinned before the step went over flattened rows.
+# not C-contiguous.
 LATTICE_DIGESTS = {
-    "neumann0": "93650dca22dab8ad68634e303ea452558ce3c234",
-    "dirichlet0": "d6c511fe7565ca414dfa99d413eb3147c585725e",
+    "neumann0": "fb829354b46ae8afe2ac3929086ce1885f15ec88",
+    "dirichlet0": "f7bb416242c2c98b0edbe52b65ce0034f8c71f6e",
 }
 
 

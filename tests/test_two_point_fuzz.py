@@ -101,6 +101,13 @@ ANY = st.one_of(st.sampled_from(EXTREMES), _moderate(-3.0, 3.0))
                   "mass": 1e-20},
          t=1e-20, x1=1.0, x2=3.577856968656879e-31, lam=1e-320, nu=1e-200,
          method="both")
+# The same Gaussian beside a Lebesgue term, which sends it to the split
+# form: J0's heat-kernel window rounded away and it printed 1e-80.
+@example(measure={"type": "sum", "terms": [
+    {"type": "lebesgue", "scale": 1e-40},
+    {"type": "gaussian", "mean": 1e-320, "var": 1e20, "mass": 1e-20}]},
+         t=1e-20, x1=1.0, x2=3.577856968656879e-31, lam=1e-320, nu=1e-200,
+         method="closed")
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(measure=_measures(ANY, st.one_of(st.sampled_from(EXTREMES),
                                         _moderate(1e-6, 10.0)), ANY,
