@@ -19,13 +19,34 @@ their own error test did not pass.
 from __future__ import annotations
 
 import functools
+import importlib
 import warnings
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import QuadratureError
+
+
+class _Deferred:
+    """A module imported on its first attribute access.  Two threads that
+    make that access at once import it once: the second waits on
+    importlib's lock for the module and then sees it whole.  An attribute
+    read once is kept, so later reads are plain lookups."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+# scipy.integrate brings in scipy.optimize and scipy.sparse.linalg, about
+# 250 modules and 20 MB, which only a QUADPACK call needs.
+integrate = _Deferred("scipy.integrate")
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-10

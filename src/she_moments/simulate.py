@@ -249,8 +249,8 @@ def _spde_step(u: np.ndarray, m, r: float, dirichlet: bool,
 
 
 # Bytes of the noise words buffer shared by one batch's fields: a 250-path
-# batch on 331 nodes draws 1,398 steps at a time.
-_NOISE_BUFFER_BYTES = 1 << 24
+# batch on 331 nodes (6 words a step) draws 87 steps at a time.
+_NOISE_BUFFER_BYTES = 1 << 20
 
 
 def _noise_bits(gens: list, n_steps: int, nx: int):

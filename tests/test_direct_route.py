@@ -14,7 +14,7 @@ from she_moments.kernels import (KernelParams, TwoPointQuery,
                                  two_point_kernel, two_point_kernel_at)
 from she_moments.measures import (DiracAtoms, LebesgueScaled, MeasureSum,
                                   _panel_pair, closed_two_point,
-                                  gaussian_density, two_point)
+                                  gaussian_density, mean_field, two_point)
 
 
 def _rel(a, b):
@@ -180,9 +180,24 @@ def test_a_narrow_peak_rounded_off_by_the_rotation_is_refused():
     with pytest.raises(QuadratureError, match="narrower than the spacing"):
         two_point(q, mu, params, formula="direct")
     # The split form's J0 = mean_field reads the heat kernel's window
-    # around x1, 9e-110 wide, which rounds away at 1.0 just the same.
+    # around x1, 9e-110 wide, which rounds to 1.0 inside the support: every
+    # double in it is 1.0, so J0(x1) is f(1.0).
+    assert two_point(q, mu, params, formula="split") == pytest.approx(
+        1e-40 / (2e20 * math.pi), rel=1e-12)
+
+
+def test_a_heat_window_that_rounds_to_x_gives_j0_as_f_of_x():
+    # nu t = 1e-220: the heat window about x = 1, ~1e-109 wide, rounds to 1.
+    # J0 is f(1) inside the support; at a support end the window is cut,
+    # and J0 is refused.
+    gauss = gaussian_density(0.0, 1.0, mass=1e-20)
+    assert mean_field(1e-20, 1.0, gauss, 1e-200) == gauss.f(1.0)
     with pytest.raises(QuadratureError, match="narrower than the spacing"):
-        two_point(q, mu, params, formula="split")
+        mean_field(1e-20, gauss.support[1], gauss, 1e-200)
+    q = TwoPointQuery(t=1e-20, x1=1.0, x2=1.0)
+    params = KernelParams(nu=1e-200, lam=1e-100)
+    mu = MeasureSum((LebesgueScaled(1.0), gauss))
+    assert closed_two_point(q, mu, params) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("term1", [

@@ -36,7 +36,7 @@ def _sha1(a: np.ndarray) -> str:
 
 def _batch_grid(boundary: str) -> SpdeGrid:
     # 41 nodes, one word a step: a 4-path batch draws its noise in chunks of
-    # _NOISE_BUFFER_BYTES // (8 * 4 * 1) = 524,288 steps, so the 1,700 steps
+    # _NOISE_BUFFER_BYTES // (8 * 4 * 1) = 32,768 steps, so the 1,700 steps
     # are one partial chunk.  test_noise_chunking_leaves_fields_unchanged
     # crosses chunk boundaries.
     return SpdeGrid(L=1.0, dx=0.05, dt=1e-3, t_final=1.7, boundary=boundary)
@@ -89,6 +89,25 @@ def test_noise_chunking_leaves_fields_unchanged(monkeypatch, boundary, rho):
     assert _chunk_steps(grid, 4) == 7
     assert grid.n_time_steps % 7 != 0
     assert np.array_equal(_batch_fields(boundary, rho), default)
+
+
+def test_benchmark_batch_spans_chunks_unchanged(monkeypatch):
+    # The criterion-11 grid (331 nodes, 6 words a step) and batch (250
+    # paths, linear rho), cut to 200 steps: chunks of 87, 87 and 26 steps
+    # give the same fields bit for bit as one 200-step chunk.
+    grid = SpdeGrid(L=3.3, dx=0.02, dt=2e-4, t_final=0.04)
+    u0 = _initial_field(grid, LebesgueScaled(1.0))
+
+    def fields():
+        return _run_spde_batch(grid, u0, RHOS["linear"], 1.0, seed=1011,
+                               lo=0, hi=250)
+    assert (grid.n_nodes, grid.n_time_steps) == (331, 200)
+    assert _chunk_steps(grid, 250) == 87
+    chunked = fields()
+    monkeypatch.setattr(simulate, "_NOISE_BUFFER_BYTES",
+                        200 * 8 * 250 * _words_per_step(grid))
+    assert _chunk_steps(grid, 250) == 200
+    assert np.array_equal(fields(), chunked)
 
 
 SOLVE_DIGESTS = {
