@@ -329,12 +329,19 @@ def parse_measure(obj: dict) -> InitialMeasure:
 # Heat smoothing (mean field)
 # ---------------------------------------------------------------------------
 
+def _gaussian_j0(t: float, x: float, mu: GaussianDensity, nu: float) -> float:
+    """J0(t, x) of ``mass * N(mean, var)``: mass N(x; mean, nu t + var)."""
+    return mu.mass * heat_kernel(1.0, x - mu.mean, nu * t + mu.var)
+
+
 def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
     """J0(t, x): the heat semigroup applied to the initial measure.
 
     Exact for atoms and Lebesgue; for densities, panelled Gauss-Legendre
-    (tol 1e-10) on the heat kernel's window around x cut to the support,
-    or f(x) where that window rounds to x inside the support.
+    (tol 1e-10) on the heat kernel's window around x cut to the support.
+    A window that rounds to x on both sides holds no node a rule could
+    use: a Gaussian inside its support then takes its exact smoothing
+    (:func:`_gaussian_j0`), and any other such window is refused.
     """
     if not (t > 0 and nu > 0):
         raise DomainError("mean_field requires t > 0 and nu > 0")
@@ -350,11 +357,13 @@ def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
         sigma = math.sqrt(nu * t)
         w = _gauss_reach(sigma, [mu.certificate], abs(x))
         lo, hi = mu.support
-        if lo < x < hi and not x - w < x < x + w:
-            # Every double in the heat window is x, so J0 is f(x) to double
-            # precision.  At a support end the window is cut; that is
-            # refused below.
-            return float(mu.f(x))
+        if (isinstance(mu, GaussianDensity) and lo < x < hi
+                and x - w == x == x + w):
+            # No rule sees the window, and f(x) is not J0 where var is of
+            # the order of nu t; the Gaussian's smoothing is exact.  A
+            # window that rounds on one side only, at a support end or
+            # over another density is refused below.
+            return _gaussian_j0(t, x, mu, nu)
 
         def integrand(y):
             return mu.f(y) * heat_kernel(t, x - y, nu)
@@ -816,7 +825,7 @@ def mixture_two_point(q: TwoPointQuery, mu: InitialMeasure,
             pairs += [(w, c1, c2) for c1 in _components(t1)
                       for c2 in _components(t2)]
     t, nu = q.t, params.nu
-    j0 = [sum(term.mass * heat_kernel(1.0, x - term.mean, nu * t + term.var)
+    j0 = [sum(_gaussian_j0(t, x, term, nu)
               if isinstance(term, GaussianDensity)
               else mean_field(t, x, term, nu) for term in mu.primitive_terms())
           for x in (q.x1, q.x2)]

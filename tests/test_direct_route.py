@@ -12,9 +12,10 @@ from she_moments.cli import main
 from she_moments.errors import KernelOverflowError, QuadratureError
 from she_moments.kernels import (KernelParams, TwoPointQuery,
                                  two_point_kernel, two_point_kernel_at)
-from she_moments.measures import (DiracAtoms, LebesgueScaled, MeasureSum,
-                                  _panel_pair, closed_two_point,
-                                  gaussian_density, mean_field, two_point)
+from she_moments.measures import (DensityMeasure, DiracAtoms, LebesgueScaled,
+                                  MeasureSum, _panel_pair, closed_two_point,
+                                  gaussian_density, mean_field,
+                                  mixture_two_point, two_point)
 
 
 def _rel(a, b):
@@ -180,24 +181,51 @@ def test_a_narrow_peak_rounded_off_by_the_rotation_is_refused():
     with pytest.raises(QuadratureError, match="narrower than the spacing"):
         two_point(q, mu, params, formula="direct")
     # The split form's J0 = mean_field reads the heat kernel's window
-    # around x1, 9e-110 wide, which rounds to 1.0 inside the support: every
-    # double in it is 1.0, so J0(x1) is f(1.0).
+    # around x1, 9e-110 wide, which rounds to 1.0 inside the support; the
+    # Gaussian's exact smoothing stands in for the quadrature there.
     assert two_point(q, mu, params, formula="split") == pytest.approx(
         1e-40 / (2e20 * math.pi), rel=1e-12)
 
 
-def test_a_heat_window_that_rounds_to_x_gives_j0_as_f_of_x():
-    # nu t = 1e-220: the heat window about x = 1, ~1e-109 wide, rounds to 1.
-    # J0 is f(1) inside the support; at a support end the window is cut,
-    # and J0 is refused.
-    gauss = gaussian_density(0.0, 1.0, mass=1e-20)
-    assert mean_field(1e-20, 1.0, gauss, 1e-200) == gauss.f(1.0)
-    with pytest.raises(QuadratureError, match="narrower than the spacing"):
-        mean_field(1e-20, gauss.support[1], gauss, 1e-200)
+def test_a_heat_window_that_rounds_to_x_takes_the_gaussians_exact_j0():
+    # var = 4.84e-34 and nu t = 1.21e-34: the support 1.5 +- 1.8e-16 holds
+    # doubles besides 1.5, but the heat window, ~1e-16 wide, rounds to 1.5
+    # on both sides.  J0 = N(1.5; 1.5, var + nu t), not f(1.5), which is
+    # sqrt(1.25) times larger.
+    gauss = gaussian_density(1.5, 4.84e-34)
+    j0 = 1.0 / math.sqrt(2.0 * math.pi * (4.84e-34 + 1.21e-34))
+    assert mean_field(1.21e-34, 1.5, gauss, 1.0) == pytest.approx(j0,
+                                                                  rel=1e-15)
+    assert gauss.f(1.5) == pytest.approx(math.sqrt(1.25) * j0, rel=1e-15)
+    q = TwoPointQuery(t=1.21e-34, x1=1.5, x2=1.5)
+    params = KernelParams(nu=1.0, lam=1e-100)
+    mu = MeasureSum((LebesgueScaled(1e-40), gauss))
+    assert closed_two_point(q, mu, params) == pytest.approx(
+        mixture_two_point(q, gauss, params), rel=1e-12)
+    assert closed_two_point(q, mu, params) == pytest.approx(j0 * j0,
+                                                            rel=1e-12)
+    # Lebesgue 1 + N(0, 1) of mass 1e-20 at nu t = 1e-220, x = 1.
+    small = gaussian_density(0.0, 1.0, mass=1e-20)
     q = TwoPointQuery(t=1e-20, x1=1.0, x2=1.0)
     params = KernelParams(nu=1e-200, lam=1e-100)
-    mu = MeasureSum((LebesgueScaled(1.0), gauss))
-    assert closed_two_point(q, mu, params) == pytest.approx(1.0, rel=1e-12)
+    assert closed_two_point(q, MeasureSum((LebesgueScaled(1.0), small)),
+                            params) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_a_heat_window_that_rounds_away_is_refused_where_not_exact():
+    gauss = gaussian_density(0.0, 1.0, mass=1e-20)
+    # At a support end the window is cut.
+    with pytest.raises(QuadratureError, match="narrower than the spacing"):
+        mean_field(1e-20, gauss.support[1], gauss, 1e-200)
+    # A density that is not a Gaussian has no exact smoothing to take.
+    other = DensityMeasure(gauss.f, gauss.certificate, support=gauss.support)
+    with pytest.raises(QuadratureError, match="narrower than the spacing"):
+        mean_field(1e-20, 1.0, other, 1e-200)
+    # nu t = 4.9e-35 at x = 1, a power of two: the window, 6.3e-17 each
+    # way, rounds to 1 above but holds 1 - 2^-53 below.
+    assert 1.0 - 6.3e-17 < 1.0 == 1.0 + 6.3e-17
+    with pytest.raises(QuadratureError, match="narrower than the spacing"):
+        mean_field(4.9e-35, 1.0, gaussian_density(1.0, 1.0), 1.0)
 
 
 @pytest.mark.parametrize("term1", [
