@@ -27,9 +27,14 @@ than the full kernel.  Double integrals run in rotated coordinates
 factors into a Gaussian in ``zbar`` times a function of ``|dz|`` with one
 kink, at ``dz = 0``.
 
+Every measure a JSON file can describe is a list of components c N(m, V),
+an atom having V = 0 and a Lebesgue term V = inf (:class:`InitialMeasure`),
+and its J0 is exact: c N(x; m, V + nu t) per component, c for Lebesgue.
+
 The two forms go through independent rules, so agreement between them
 means something; both integrate a density over its declared ``support``
-only.  The split form, J0 included, uses panelled Gauss-Legendre
+only.  The split form, and J0 of a library :class:`DensityMeasure` (one
+without components), use panelled Gauss-Legendre
 (:func:`~she_moments.quadrature.integrate_panels`) on whole arrays: a
 panel edge sits on the kink (``dz = 0``, or ``z = atom``), and windows
 from the kernels' decay and the growth certificate are cut to the
@@ -46,12 +51,12 @@ Measures parse from a declarative JSON object::
     {"type": "gaussian", "mean": m, "var": v, "mass": c}
     {"type": "sum", "terms": [ ... ]}
 
-Measures whose every term is atoms or Gaussian (:class:`GaussianDensity`)
-also have a closed form, :func:`mixture_two_point`: the covariance integral
-of any two components c N(m, V), an atom being V = 0, is one bivariate
-normal CDF term (:func:`~she_moments.gaussian.log_phi2_slope`) assembled in
-log space.  :func:`closed_two_point` chooses between it, the Lebesgue
-formula and the split form.
+Measures whose every component is an atom or a Gaussian also have a closed
+form, :func:`mixture_two_point`: the covariance integral of any two
+components is one bivariate normal CDF term
+(:func:`~she_moments.gaussian.log_phi2_slope`) assembled in log space.
+:func:`closed_two_point` chooses between it, the Lebesgue formula and the
+split form.
 """
 
 from __future__ import annotations
@@ -104,21 +109,35 @@ class GrowthCertificate:
 
 
 class InitialMeasure:
-    """Base class; see the concrete variants below."""
+    """Base class; see the concrete variants below.
+
+    ``components``, built once when the measure is made, are rows (mass,
+    location, variance) of a read-only array: atoms (variance 0) first,
+    then Gaussians, then Lebesgue terms (variance inf, location 0), each in
+    term order.  A library DensityMeasure, or a sum holding one, has none.
+    """
+
+    components: np.ndarray | None = None
+
+    def _set_components(self, rows) -> None:
+        rows = np.array(rows, dtype=float)
+        rows.flags.writeable = False
+        object.__setattr__(self, "components", rows)
 
     def primitive_terms(self) -> list["InitialMeasure"]:
         return [self]
 
     @property
     def is_nonnegative(self) -> bool:
-        raise NotImplementedError
+        return bool((self.components[:, 0] >= 0).all())
 
     def total_variation(self) -> "InitialMeasure":
         raise NotImplementedError
 
     def support_extent(self) -> float:
-        """Half-width of (effective) support, for simulation-domain sizing."""
-        raise NotImplementedError
+        """Half-width of (effective) support, for simulation-domain sizing:
+        here the largest |location| of a component."""
+        return float(np.abs(self.components[:, 1]).max())
 
 
 @dataclass(frozen=True)
@@ -130,19 +149,13 @@ class DiracAtoms(InitialMeasure):
                            tuple((float(x), float(m)) for x, m in self.atoms))
         if not self.atoms:
             raise DomainError("DiracAtoms requires at least one atom")
-        if not all(map(math.isfinite, np.ravel(self.atoms))):
+        self._set_components([(m, x, 0.0) for x, m in self.atoms])
+        if not np.isfinite(self.components).all():
             raise InadmissibleMeasureError(
                 "DiracAtoms requires finite locations and masses")
 
-    @property
-    def is_nonnegative(self) -> bool:
-        return all(m >= 0 for _, m in self.atoms)
-
     def total_variation(self) -> "DiracAtoms":
         return DiracAtoms(tuple((x, abs(m)) for x, m in self.atoms))
-
-    def support_extent(self) -> float:
-        return max(abs(x) for x, _ in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -153,16 +166,10 @@ class LebesgueScaled(InitialMeasure):
         if not math.isfinite(self.scale):
             raise InadmissibleMeasureError(
                 f"LebesgueScaled requires a finite scale, got {self.scale}")
-
-    @property
-    def is_nonnegative(self) -> bool:
-        return self.scale >= 0
+        self._set_components([(self.scale, 0.0, math.inf)])
 
     def total_variation(self) -> "LebesgueScaled":
         return LebesgueScaled(abs(self.scale))
-
-    def support_extent(self) -> float:
-        return 0.0
 
     # The constant density the quadrature routes read, as they read a
     # DensityMeasure's fields; the closed forms read ``scale``.
@@ -181,10 +188,11 @@ class DensityMeasure(InitialMeasure):
     """Absolutely continuous measure ``f(x) dx`` with a growth certificate.
 
     ``nonnegative`` is declared, not verified.  ``support = (lo, hi)``, the
-    whole line by default, is where the density's mass lies: J0, both
-    two-point routes and the membership check integrate over it, and its
-    larger absolute end sizes simulation grids.  A density with far-apart
-    bumps is best a MeasureSum of one bump each, each with its support.
+    whole line by default, is where the density's mass lies: J0 (a
+    Gaussian's excepted), both two-point routes and the membership check
+    integrate over it, and its larger absolute end sizes simulation grids.
+    A density with far-apart bumps is best a MeasureSum of one bump each,
+    each with its support.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -221,11 +229,15 @@ class DensityMeasure(InitialMeasure):
 class GaussianDensity(DensityMeasure):
     """``mass * N(mean, var)``, made by :func:`gaussian_density`.  The
     quadrature routes read it as any DensityMeasure (``f``, certificate,
-    support); the closed route reads its parameters."""
+    support); J0 and the closed route read its component row."""
 
     mean: float = 0.0
     var: float = 1.0
     mass: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._set_components([(self.mass, self.mean, self.var)])
 
     def total_variation(self) -> "GaussianDensity":
         return (self if self.mass >= 0
@@ -239,6 +251,11 @@ class MeasureSum(InitialMeasure):
     def __post_init__(self):
         if not self.terms:
             raise DomainError("MeasureSum requires at least one term")
+        if all(term.components is not None for term in self.terms):
+            rows = [row for term in self.terms
+                    for row in term.components.tolist()]
+            self._set_components(sorted(
+                rows, key=lambda row: (row[2] > 0) + (row[2] == math.inf)))
 
     def primitive_terms(self) -> list[InitialMeasure]:
         out: list[InitialMeasure] = []
@@ -329,51 +346,43 @@ def parse_measure(obj: dict) -> InitialMeasure:
 # Heat smoothing (mean field)
 # ---------------------------------------------------------------------------
 
-def _gaussian_j0(t: float, x: float, mu: GaussianDensity, nu: float) -> float:
-    """J0(t, x) of ``mass * N(mean, var)``: mass N(x; mean, nu t + var)."""
-    return mu.mass * heat_kernel(1.0, x - mu.mean, nu * t + mu.var)
-
-
 def mean_field(t: float, x: float, mu: InitialMeasure, nu: float) -> float:
     """J0(t, x): the heat semigroup applied to the initial measure.
 
-    Exact for atoms and Lebesgue; for densities, panelled Gauss-Legendre
-    (tol 1e-10) on the heat kernel's window around x cut to the support.
-    A window that rounds to x on both sides holds no node a rule could
-    use: a Gaussian inside its support then takes its exact smoothing
-    (:func:`_gaussian_j0`), and any other such window is refused.
+    Exact over the components (:class:`InitialMeasure`):
+    Σ c N(x; m, V + nu t), atoms in one array pass, plus each Lebesgue
+    mass c; a V + nu t that overflows is refused.  A library DensityMeasure
+    takes panelled Gauss-Legendre (tol 1e-10) on the heat kernel's window
+    around x cut to its support, and is refused where that window is
+    narrower than the spacing of doubles at x: no rule has a node inside it.
     """
     if not (t > 0 and nu > 0):
         raise DomainError("mean_field requires t > 0 and nu > 0")
-    if isinstance(mu, DiracAtoms):
-        locs, masses = np.array(mu.atoms, dtype=float).T
-        with np.errstate(over="ignore", invalid="ignore"):
-            # An overflow is a non-finite J0, which callers refuse, and
-            # exp(-x²/2 nu t) is 0.0 where x²/2 nu t overflows.
-            return float(masses @ heat_kernel(t, x - locs, nu))
-    if isinstance(mu, LebesgueScaled):
-        return mu.scale
-    if isinstance(mu, DensityMeasure):
+    rows = mu.components
+    if rows is None and isinstance(mu, MeasureSum):
+        return float(sum(mean_field(t, x, term, nu) for term in mu.terms))
+    if rows is None:
         sigma = math.sqrt(nu * t)
         w = _gauss_reach(sigma, [mu.certificate], abs(x))
-        lo, hi = mu.support
-        if (isinstance(mu, GaussianDensity) and lo < x < hi
-                and x - w == x == x + w):
-            # No rule sees the window, and f(x) is not J0 where var is of
-            # the order of nu t; the Gaussian's smoothing is exact.  A
-            # window that rounds on one side only, at a support end or
-            # over another density is refused below.
-            return _gaussian_j0(t, x, mu, nu)
 
         def integrand(y):
             return mu.f(y) * heat_kernel(t, x - y, nu)
-        _require_visible(lo, hi, integrand, x, w)
+        _require_visible(*mu.support, integrand, x, w)
         edges = _graded_edges(mu.support, ((x, w),), x, sigma, 3.0 * sigma)
         return 0.0 if edges is None else integrate_panels(
             integrand, edges, abs_tol=1e-10, rel_tol=1e-10)[0]
-    if isinstance(mu, MeasureSum):
-        return float(sum(mean_field(t, x, term, nu) for term in mu.terms))
-    raise DomainError(f"unsupported measure type {type(mu).__name__}")
+    n_atoms = rows[:, 2].tolist().count(0.0)
+    total = 0.0
+    if n_atoms:
+        mass, loc, _ = rows[:n_atoms].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            # An overflow is a non-finite J0, which callers refuse, and
+            # exp(-x²/2 nu t) is 0.0 where x²/2 nu t overflows.
+            total += float(mass @ heat_kernel(t, x - loc, nu))
+    for c, m, v in rows[n_atoms:].tolist():
+        total += c if v == math.inf else c * heat_kernel(
+            1.0, x - m, require_finite(v + nu * t, "a Gaussian's V + nu t"))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +401,11 @@ def _term_pairs(mu: InitialMeasure
             for i in range(len(terms)) for j in range(i, len(terms))]
 
 
-def _atom_sum(mu1: DiracAtoms, mu2: DiracAtoms,
+def _atom_sum(rows1: np.ndarray, rows2: np.ndarray,
               kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """Σ m1 m2 kernel(x1, x2) over all atom pairs, in one kernel call."""
-    (x1, m1), (x2, m2) = (np.array(mu.atoms, dtype=float).T
-                          for mu in (mu1, mu2))
+    """Σ m1 m2 kernel(x1, x2) over all pairs of atom component rows, in one
+    kernel call."""
+    (m1, x1, _), (m2, x2, _) = rows1.T, rows2.T
     with np.errstate(over="ignore", invalid="ignore"):
         return require_finite(float(m1 @ kernel(x1[:, None], x2[None, :])
                                     @ m2), "the atom sum")
@@ -469,7 +478,8 @@ def _bilinear_primitive(mu1: InitialMeasure, mu2: InitialMeasure,
     kink at dz = 0.
     """
     if isinstance(mu2, DiracAtoms):
-        return _atom_sum(mu1, mu2, _query_kernel(two_point_kernel, q, params))
+        return _atom_sum(mu1.components, mu2.components,
+                         _query_kernel(two_point_kernel, q, params))
     point_kernel = two_point_kernel_at(q, params)
     var = params.nu * q.t
     f2 = mu2.f
@@ -630,7 +640,7 @@ def _panel_pair(mu1: InitialMeasure, mu2: InitialMeasure, q: TwoPointQuery,
     (:func:`_require_visible`)."""
     kernel = _query_kernel(covariance_kernel, q, params)
     if isinstance(mu2, DiracAtoms):
-        return _atom_sum(mu1, mu2, kernel), 0.0
+        return _atom_sum(mu1.components, mu2.components, kernel), 0.0
     sc = _SplitKernelScales(q, params)
     if isinstance(mu1, DiracAtoms):
         f2, cert = mu2.f, mu2.certificate
@@ -737,20 +747,10 @@ def two_point(q: TwoPointQuery, mu: InitialMeasure, params: KernelParams,
 # Closed form for atoms and Gaussians
 # ---------------------------------------------------------------------------
 
-def _components(term: InitialMeasure) -> list[tuple[float, float, float]]:
-    """(location, variance, mass) of every component of an atoms or
-    Gaussian term; an atom is a component of variance 0."""
-    if isinstance(term, DiracAtoms):
-        return [(x, 0.0, m) for x, m in term.atoms]
-    if isinstance(term, GaussianDensity):
-        return [(term.mean, term.var, term.mass)]
-    raise DomainError(f"no closed two-point form for {type(term).__name__}")
-
-
 def _gaussian_pairs(q: TwoPointQuery, params: KernelParams, pairs) -> float:
     """Σ w ∬ c1 N(dz1; m1, V1) c2 N(dz2; m2, V2) K_dag(t, x1 - z1,
-    x2 - z2, x1 - x2) over ``(w, (m1, V1, c1), (m2, V2, c2))`` in
-    ``pairs``, each with V1 + V2 > 0, in closed form.
+    x2 - z2, x1 - x2) over ``(w, (c1, m1, V1), (c2, m2, V2))`` in
+    ``pairs``, component rows each with V1 + V2 > 0, in closed form.
 
     In zbar = (z1 + z2)/2 and dz = z2 - z1 the Gaussian in zbar integrates
     out, leaving, with alpha = lam²/2nu, D = |x1 - x2|, gamma = 1/sqrt(2 nu t),
@@ -773,7 +773,7 @@ def _gaussian_pairs(q: TwoPointQuery, params: KernelParams, pairs) -> float:
     beta = (l2 * t - d) * gamma
     c0 = l2 * (l2 * t - 2.0 * d) / (4.0 * nu)
     terms, points = [], []
-    for w, (m1, v1, c1), (m2, v2, c2) in pairs:
+    for w, (c1, m1, v1), (c2, m2, v2) in pairs:
         if c1 == 0.0 or c2 == 0.0:
             continue
         sigma = v1 + v2
@@ -809,27 +809,27 @@ def _gaussian_pairs(q: TwoPointQuery, params: KernelParams, pairs) -> float:
 
 def mixture_two_point(q: TwoPointQuery, mu: InitialMeasure,
                       params: KernelParams) -> float:
-    """E[u(t,x1) u(t,x2)] in closed form for a measure whose every primitive
-    term is atoms or a :class:`GaussianDensity`: J0 J0, a Gaussian term's
-    J0 being mass N(x; mean, nu t + var), and over :func:`_term_pairs` a
-    weighted exact kernel sum for a pair of atom terms and
-    :func:`_gaussian_pairs` over the components of every other pair.
-    ``two_point`` (either formula) is its cross-check."""
+    """E[u(t,x1) u(t,x2)] in closed form for a measure whose every component
+    is an atom or a Gaussian: J0 J0 by :func:`mean_field`, one exact kernel
+    sum over the pairs of atoms, and :func:`_gaussian_pairs` over every
+    other unordered pair of component rows, weight 1 on the diagonal and 2
+    off it.  ``two_point`` (either formula) is its cross-check."""
     _check_nu_t(q, params)
-    kernel = _query_kernel(covariance_kernel, q, params)
-    atom_pairs, pairs = 0.0, []
-    for w, t1, t2 in _term_pairs(mu):
-        if isinstance(t2, DiracAtoms):
-            atom_pairs += w * _atom_sum(t1, t2, kernel)
-        else:
-            pairs += [(w, c1, c2) for c1 in _components(t1)
-                      for c2 in _components(t2)]
-    t, nu = q.t, params.nu
-    j0 = [sum(_gaussian_j0(t, x, term, nu)
-              if isinstance(term, GaussianDensity)
-              else mean_field(t, x, term, nu) for term in mu.primitive_terms())
-          for x in (q.x1, q.x2)]
-    value = j0[0] * j0[1] + atom_pairs
+    rows = mu.components
+    if rows is None or rows[-1, 2] == math.inf:
+        raise DomainError("no closed two-point form for a Lebesgue term or "
+                          "a library density")
+    n_atoms = rows[:, 2].tolist().count(0.0)
+    atom_pairs = 0.0
+    if n_atoms:
+        atom_pairs += _atom_sum(rows[:n_atoms], rows[:n_atoms],
+                                _query_kernel(covariance_kernel, q, params))
+    comps = rows.tolist()
+    pairs = [(1.0 if i == j else 2.0, comps[i], comps[j])
+             for i in range(len(comps))
+             for j in range(max(i, n_atoms), len(comps))]
+    value = (mean_field(q.t, q.x1, mu, params.nu)
+             * mean_field(q.t, q.x2, mu, params.nu) + atom_pairs)
     return value + _gaussian_pairs(q, params, pairs) if pairs else value
 
 
@@ -838,14 +838,12 @@ def closed_two_point(q: TwoPointQuery, mu: InitialMeasure,
     """E[u(t,x1) u(t,x2)] in closed form where there is one, behind every
     two-point value the CLI prints (``two-point``, ``second-moment`` and
     both simulate oracles): the Lebesgue formula for Lebesgue data,
-    :func:`mixture_two_point` when every primitive term is atoms or a
-    :class:`GaussianDensity`, and the split form of :func:`two_point`
-    otherwise."""
+    :func:`mixture_two_point` when every component is an atom or a
+    Gaussian, and the split form of :func:`two_point` otherwise."""
     _check_nu_t(q, params)
     if isinstance(mu, LebesgueScaled):
         return mu.scale * mu.scale * two_point_lebesgue(q, params)
-    if all(isinstance(term, (DiracAtoms, GaussianDensity))
-           for term in mu.primitive_terms()):
+    if mu.components is not None and mu.components[-1, 2] < math.inf:
         return mixture_two_point(q, mu, params)
     return two_point(q, mu, params, formula="split")
 

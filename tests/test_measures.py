@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from she_moments.errors import (DomainError, InadmissibleMeasureError,
                                 KernelOverflowError)
@@ -89,6 +91,24 @@ class TestMeanField:
         mu = MeasureSum((DiracAtoms(((0.0, 1.0),)), LebesgueScaled(1.0)))
         assert mean_field(1.0, 0.0, mu, 1.0) == \
             pytest.approx(1.0 + heat_kernel(1.0, 0.0, 1.0), rel=1e-14)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mean=st.floats(-2.0, 2.0), var=st.floats(0.01, 4.0),
+           mass=st.floats(0.2, 2.0), loc=st.floats(-2.0, 2.0),
+           scale=st.floats(0.5, 2.0), t=st.floats(0.05, 2.0),
+           nu=st.floats(0.2, 2.0), x=st.floats(-3.0, 3.0))
+    def test_component_j0_matches_the_panel_rule(self, mean, var, mass, loc,
+                                                 scale, t, nu, x):
+        # The same Gaussian as a library density has no components, so its
+        # J0 takes the panel rule (tol 1e-10) instead of the exact formula.
+        g = gaussian_density(mean, var, mass)
+        panel = DensityMeasure(g.f, g.certificate, support=g.support)
+        others = (DiracAtoms(((loc, 0.7),)), LebesgueScaled(scale))
+        for exact, ruled in ((g, panel), (MeasureSum((g, *others)),
+                                          MeasureSum((panel, *others)))):
+            j0 = mean_field(t, x, exact, nu)
+            assert abs(j0 - mean_field(t, x, ruled, nu)) <= max(
+                1e-10, 1e-10 * abs(j0))
 
 
 class TestSecondMoment:

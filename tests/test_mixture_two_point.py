@@ -31,7 +31,7 @@ from she_moments.kernels import (KernelParams, TwoPointQuery,
                                  two_point_lebesgue)
 from she_moments.measures import (DensityMeasure, DiracAtoms,
                                   GaussianDensity, GrowthCertificate,
-                                  MeasureSum, gaussian_density,
+                                  LebesgueScaled, MeasureSum, gaussian_density,
                                   mixture_two_point, parse_measure, two_point)
 
 
@@ -230,6 +230,20 @@ def test_zero_coupling_is_the_mean_field_product():
     params = KernelParams(nu=1.0, lam=0.0)
     j0 = [gaussian_density(0.2, 0.5 + 0.8).f(x) for x in (q.x1, q.x2)]
     assert _rel(mixture_two_point(q, mu, params), j0[0] * j0[1]) <= 1e-15
+
+
+@pytest.mark.parametrize("mu", [
+    LebesgueScaled(1.0),
+    MeasureSum((gaussian_density(0.1, 0.5), LebesgueScaled(1e-3))),
+    DensityMeasure(lambda x: np.exp(-np.asarray(x) ** 2),
+                   GrowthCertificate(amplitude=1.0)),
+], ids=["lebesgue", "gaussian_and_lebesgue", "library_density"])
+def test_a_measure_without_a_mixture_form_is_refused(mu):
+    # A Lebesgue component has V = inf: in _gaussian_pairs it would raise
+    # KernelOverflowError, not name the missing closed form.
+    with pytest.raises(DomainError, match="no closed two-point form"):
+        mixture_two_point(TwoPointQuery(0.8, -0.3, 0.5), mu,
+                          KernelParams(nu=1.0, lam=1.2))
 
 
 def test_overflow_is_refused():

@@ -80,6 +80,20 @@ class TestCliExitCodes:
         assert code == 1
         assert "123.0" in out
 
+    def test_an_overflowing_gaussian_beside_lebesgue_exit_3(self, capsys,
+                                                          tmp_path):
+        # var + nu t = 2e308 overflows.  J0 is 1 + 2.8e-155; read as a
+        # Lebesgue term by that infinite variance, the Gaussian would add
+        # its mass 1 and the row would print 4.0.
+        path = _write(tmp_path, "mu.json", {"type": "sum", "terms": [
+            {"type": "lebesgue", "scale": 1},
+            {"type": "gaussian", "mean": 0, "var": 1e308}]})
+        code, out, err = run_cli(capsys, "two-point", "--measure", path,
+                                 "--t", "1e308", "--x1", "0", "--x2", "0.5",
+                                 "--lambda", "0")
+        assert (code, out) == (3, "")
+        assert "overflows" in err
+
     @pytest.mark.parametrize("grid", ["1:2", "0:1:0"])
     def test_bad_grid_exit_2(self, capsys, grid):
         code, out, _ = run_cli(capsys, "kernel", "--which", "K", "--t", 1,
