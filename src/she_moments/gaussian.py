@@ -35,6 +35,16 @@ from .quadrature import integrate_1d, panel_nodes
 
 _LOG_DBL_MAX = 709.0  # log(DBL_MAX) rounded down
 _TWO_PI = 2.0 * math.pi
+_SQRT_TWO_PI = math.sqrt(_TWO_PI)
+
+
+def root_two_pi_var(var: float) -> float:
+    """``sqrt(2 pi var)``, a Gaussian's normaliser.  Where ``2 pi var``
+    overflows but ``var`` is finite (var above ~2.9e307) it is taken as
+    ``sqrt(2 pi) sqrt(var)``, which is finite; every other value is the
+    single square root's."""
+    root = math.sqrt(_TWO_PI * var)
+    return _SQRT_TWO_PI * math.sqrt(var) if root == math.inf else root
 
 
 def _as_float_array(x):
@@ -59,11 +69,11 @@ def heat_kernel(t: float, x, nu: float):
     var = nu * t
     if not (var > 0):  # nu <= 0, or nu * t underflowing to 0.0
         raise DomainError(f"heat_kernel requires nu * t > 0, got {nu} * {t}")
+    root = root_two_pi_var(var)
     if isinstance(x, (float, int)):
-        return math.exp(-x * x / (2.0 * var)) / math.sqrt(_TWO_PI * var)
+        return math.exp(-x * x / (2.0 * var)) / root
     x, scalar = _as_float_array(x)
-    out = np.exp(-x * x / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    return _ret(out, scalar)
+    return _ret(np.exp(-x * x / (2.0 * var)) / root, scalar)
 
 
 def first_passage_density(t: float, r: float) -> float:

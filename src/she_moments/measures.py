@@ -69,7 +69,8 @@ import numpy as np
 
 from .errors import (DomainError, InadmissibleMeasureError,
                      KernelOverflowError, QuadratureError, SheMomentsError)
-from .gaussian import _LOG_DBL_MAX, heat_kernel, log_phi2_slope
+from .gaussian import (_LOG_DBL_MAX, heat_kernel, log_phi2_slope,
+                       root_two_pi_var)
 from .kernels import (KernelParams, TwoPointQuery, covariance_kernel,
                       require_finite, two_point_kernel, two_point_kernel_at,
                       two_point_lebesgue)
@@ -283,7 +284,7 @@ def gaussian_density(mean: float, var: float,
         raise InadmissibleMeasureError(
             f"gaussian_density requires finite mean, var and mass, got "
             f"({mean}, {var}, {mass})")
-    norm = mass / math.sqrt(2.0 * math.pi * var)
+    norm = mass / root_two_pi_var(var)
     two_var = 2.0 * var
 
     def f(x):

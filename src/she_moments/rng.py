@@ -89,15 +89,17 @@ def uniforms_at(seed: int, domain: int, lo: int, hi: int,
     ``i`` is the Philox block at counter ``(i, j, 0, 0)``; numpy's Philox
     steps the counter before each block, so a generator set one counter
     before ``(lo, j, 0, 0)`` yields block ``j`` of every path in the range.
+    Only the words of the uniforms asked for are converted, straight into
+    the C-contiguous result.
     """
     n = hi - lo
-    n_blocks = (n_uniforms + 3) // 4
     key = path_key(seed, domain, 0)
-    out = np.empty((n, n_blocks, 4), dtype=float)
-    for j in range(n_blocks):
-        start = ((j << 64) + int(lo) - 1) % (1 << 256)
+    out = np.empty((n, n_uniforms), dtype=float)
+    for j in range(0, n_uniforms, 4):
+        start = (((j // 4) << 64) + int(lo) - 1) % (1 << 256)
         words = np.random.Philox(key=key, counter=start).random_raw(4 * n)
-        np.right_shift(words, _SH11, out=words)
-        np.add(words.reshape(n, 4), 0.5, out=out[:, j])
+        used = words.reshape(n, 4)[:, :n_uniforms - j]
+        np.right_shift(used, _SH11, out=used)
+        np.add(used, 0.5, out=out[:, j:j + 4])
     np.multiply(out, _INV53, out=out)
-    return out.reshape(n, 4 * n_blocks)[:, :n_uniforms]
+    return out

@@ -390,34 +390,64 @@ def spde_lattice_second_moment(grid: SpdeGrid, mu: InitialMeasure,
 
 
 def _estimate_from_values(values: np.ndarray, n_total: int) -> Estimate:
-    finite = np.isfinite(values)
-    n_div = int(n_total - finite.sum())
-    if n_div > MAX_DIVERGENT_FRACTION * n_total:
-        raise DivergenceError(
-            f"{n_div} of {n_total} paths diverged "
-            f"(> {MAX_DIVERGENT_FRACTION:.1%})",
-            n_divergent=n_div, n_total=n_total)
-    good = values if n_div == 0 else values[finite]
-    n = good.size
-    value = float(np.mean(good))
-    std_error = float(np.std(good, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return Estimate(value=value, std_error=std_error, n=n, n_divergent=n_div)
+    """Mean and standard error of the finite entries of ``values``, one per
+    path; more than 0.1% non-finite raises DivergenceError.
+
+    Consumes ``values``: the deviations from the mean are squared in place,
+    in it or in its copy of the finite entries, so the reduction allocates
+    no path-sized temporary beyond that copy.  The operations are those of
+    ``np.mean`` and ``np.std(ddof=1)`` in the same order (one pairwise sum,
+    then the sum of squared deviations), so the estimate is bit-identical
+    to theirs.  A finite sum proves every entry finite, and then no mask is
+    built.
+    """
+    total = np.add.reduce(values)
+    n_div = 0
+    if not math.isfinite(total):
+        finite = np.isfinite(values)
+        n_div = int(n_total - np.count_nonzero(finite))
+        if n_div > MAX_DIVERGENT_FRACTION * n_total:
+            raise DivergenceError(
+                f"{n_div} of {n_total} paths diverged "
+                f"(> {MAX_DIVERGENT_FRACTION:.1%})",
+                n_divergent=n_div, n_total=n_total)
+        if n_div:
+            values = values[finite]
+            total = np.add.reduce(values)
+    n = values.size
+    mean = total / n
+    std_error = 0.0
+    if n > 1:
+        dev = np.subtract(values, mean, out=values)
+        ssq = np.add.reduce(np.square(dev, out=dev))
+        std_error = float(np.sqrt(ssq / (n - 1)) / math.sqrt(n))
+    return Estimate(value=float(mean), std_error=std_error, n=n,
+                    n_divergent=n_div)
 
 
 def _parallel_values(n_paths: int, batch_size: int, workers: int,
                      task: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Fill a path-indexed value array batch by batch; order-independent."""
+    """The path-indexed values, ``task(lo, hi)`` for each batch of paths.
+
+    Each batch is copied into its slice of the one ``n_paths`` array by the
+    worker that computed it, which then drops it, so the request holds one
+    float per path plus each running worker's batch.  The result does not
+    depend on ``batch_size`` or ``workers``.
+    """
     values = np.empty(n_paths)
+
+    def fill(lo: int, hi: int) -> None:
+        values[lo:hi] = task(lo, hi)
+
     ranges = [(lo, min(lo + batch_size, n_paths))
               for lo in range(0, n_paths, batch_size)]
     if workers <= 1 or len(ranges) == 1:
         for lo, hi in ranges:
-            values[lo:hi] = task(lo, hi)
-        return values
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(task, lo, hi): (lo, hi) for lo, hi in ranges}
-        for fut, (lo, hi) in futures.items():
-            values[lo:hi] = fut.result()
+            fill(lo, hi)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(fill, lo, hi) for lo, hi in ranges]:
+                done.result()
     return values
 
 

@@ -1,16 +1,27 @@
-"""Start-up footprint: QUADPACK (``scipy.integrate``, which brings in
+"""Footprint.
+
+Start-up: QUADPACK (``scipy.integrate``, which brings in
 ``scipy.optimize``) is imported by the first command that integrates, not
 by ``import she_moments``.  Other tests import ``scipy.integrate`` into this
-process, so each check runs in a fresh interpreter."""
+process, so those checks run in a fresh interpreter.
+
+Monte Carlo: a request holds one float per path, plus the working set of
+each running worker's batch."""
 
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import she_moments
+from she_moments.kernels import TwoPointQuery
+from she_moments.measures import LebesgueScaled, gaussian_density
+from she_moments.simulate import McConfig, fk_two_point
 
 SRC = str(Path(she_moments.__file__).resolve().parents[1])
 
@@ -91,3 +102,26 @@ def test_threads_making_the_first_quadpack_call_at_once_all_get_its_value(
         assert len(values) == n
         assert all(abs(v - (math.e - 1.0)) < 1e-14 for v in values), values
     """, tmp_path)
+
+
+# Bytes a path may take while its batch runs, beside its float in the value
+# array: its uniforms, Philox words and the sampler's temporaries (~60 for
+# constant data, ~90 for a density, measured).
+BATCH_BYTES_PER_PATH = 120
+
+
+@pytest.mark.parametrize("u0", [LebesgueScaled(1.0),
+                                gaussian_density(0.0, 4.0)],
+                         ids=["constant", "density"])
+def test_fk_request_holds_one_float_per_path_plus_running_batches(u0):
+    q = TwoPointQuery(t=1.0, x1=0.0, x2=0.5)
+    mc = McConfig(n_paths=400_000, seed=3, batch_size=10_000, workers=2)
+    batch_allowance = mc.workers * mc.batch_size * BATCH_BYTES_PER_PATH
+    fk_two_point(q, u0, 1.0, 1.0, McConfig(n_paths=100, seed=3))  # warm-up
+    tracemalloc.start()
+    try:
+        fk_two_point(q, u0, 1.0, 1.0, mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * mc.n_paths + batch_allowance, peak

@@ -11,6 +11,7 @@ from she_moments.gaussian import (exp_phi, gaussian_product_moment_bound,
                                   gaussian_product_moment_bound_repaired,
                                   gaussian_product_split, heat_kernel,
                                   normal_cdf)
+from she_moments.measures import gaussian_density
 from she_moments.quadrature import integrate_1d
 
 finite_floats = st.floats(min_value=-30, max_value=30)
@@ -47,6 +48,18 @@ class TestHeatKernel:
         vals = heat_kernel(1.0, xs, 1.0)
         assert vals.shape == (3,)
         assert vals[0] == vals[2]
+
+    @pytest.mark.parametrize("var", [2.9e307, 5e307, 1.7e308])
+    def test_peak_where_2_pi_var_overflows(self, var):
+        # 2 pi var is inf, var is not: the peak is 1/(sqrt(2 pi) sqrt(var)),
+        # not 0.0, on the float path and the array path alike.
+        assert math.isinf(2.0 * math.pi * var)
+        peak = 1.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(var))
+        assert heat_kernel(1.0, 0.0, var) == pytest.approx(peak, rel=1e-15)
+        assert heat_kernel(1.0, np.zeros(2), var).tolist() == [
+            heat_kernel(1.0, 0.0, var)] * 2
+        density = gaussian_density(0.0, var, 1e150)
+        assert density.f(0.0) == pytest.approx(1e150 * peak, rel=1e-15)
 
     def test_far_tail_is_zero_without_warning(self):
         # No cut-off: exp(-800) underflows to 0.0 silently on both paths.

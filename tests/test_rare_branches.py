@@ -94,6 +94,28 @@ class TestCliExitCodes:
         assert (code, out) == (3, "")
         assert "overflows" in err
 
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    @pytest.mark.parametrize("var,t,exact", [
+        # (mass / sqrt(2 pi (var + nu t)))^2 at x = mean, by mpmath.
+        (5e307, 1.0, 3.1830988618379067e-09),
+        (2e307, 1e307, 5.3051647697298445e-09),
+    ], ids=["var_5e307", "var_2e307_t_1e307"])
+    def test_a_gaussian_whose_2_pi_var_overflows(self, capsys, tmp_path,
+                                                var, t, exact, method):
+        # 2 pi (var + nu t) overflows while var + nu t does not: taken as
+        # one square root, the normaliser is inf and the row 0.0.
+        path = _write(tmp_path, "mu.json", {"type": "gaussian", "mean": 0,
+                                            "var": var, "mass": 1e150})
+        code, out, _ = run_cli(capsys, "two-point", "--measure", path,
+                               "--t", t, "--x1", 0, "--x2", 0,
+                               "--lambda", 0, "--method", method)
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[-1])
+        if method == "closed":
+            assert _rel(value, exact) < 1e-15
+        else:  # the direct quadrature's abs_tol 1e-10, rel_tol 1e-9
+            assert abs(value - exact) <= max(1e-10, 1e-9 * exact)
+
     @pytest.mark.parametrize("grid", ["1:2", "0:1:0"])
     def test_bad_grid_exit_2(self, capsys, grid):
         code, out, _ = run_cli(capsys, "kernel", "--which", "K", "--t", 1,

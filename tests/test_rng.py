@@ -40,12 +40,14 @@ class TestKeystream:
     @pytest.mark.parametrize("lo,hi", [(0, 5), (1, 4), (2**40 - 2, 2**40 + 3),
                                        (MAX64 - 3, MAX64)],
                              ids=["lo0", "lo1", "near2_40", "top"])
-    @pytest.mark.parametrize("n_uniforms", [1, 4, 5, 9, 12])
+    @pytest.mark.parametrize("n_uniforms", [1, 2, 4, 5, 9, 12])
     def test_known_answer(self, lo, hi, n_uniforms):
         # n_uniforms 9 and 12 reach blocks 0-2; lo = 0 makes numpy's
         # starting counter wrap to 2**256 - 1 for block 0.
         got = uniforms_at(11, DOMAIN_FK, lo, hi, n_uniforms)
+        # Only the uniforms asked for are built, in one C-contiguous array.
         assert got.shape == (hi - lo, n_uniforms)
+        assert got.flags.c_contiguous and got.base is None
         assert np.array_equal(got, _reference(11, DOMAIN_FK, lo, hi,
                                               n_uniforms))
 
@@ -65,6 +67,8 @@ class TestKeystream:
         short = uniforms_at(5, DOMAIN_FK, 0, 1000, 4)
         long = uniforms_at(5, DOMAIN_FK, 0, 1000, 9)
         assert np.array_equal(long[:, :4], short)
+        assert np.array_equal(uniforms_at(5, DOMAIN_FK, 0, 25_000, 2),
+                              uniforms_at(5, DOMAIN_FK, 0, 25_000, 4)[:, :2])
 
     @pytest.mark.parametrize("lo,hi", [(0, 1), (17, 56), (99, 100)])
     def test_sub_range_is_rows_of_full_range(self, lo, hi):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -538,3 +540,95 @@ class TestTwoPointNoise:
         assert not np.array_equal(clipped, linear)
         assert np.max(np.abs(clipped - linear)) <= 1e-12 * np.max(
             np.abs(linear))
+
+
+def _numpy_estimate(values: np.ndarray) -> tuple[float, float, int]:
+    """Mean and std(ddof=1) / sqrt(n) of the finite entries, by numpy."""
+    good = values[np.isfinite(values)]
+    n = good.size
+    std_error = float(np.std(good, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(good)), std_error, n
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestReduction:
+    """``_estimate_from_values`` reduces in place by numpy's own operations,
+    so its floats equal ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``."""
+
+    @staticmethod
+    def _check(values: np.ndarray) -> Estimate:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, std_error, n = _numpy_estimate(values)
+            est = simulate._estimate_from_values(values.copy(), values.size)
+        assert _same(est.value, value) and _same(est.std_error, std_error)
+        assert (est.n, est.n_divergent) == (n, values.size - n)
+        return est
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(20261022)
+        for size in (2, 3, 7, 8, 9, 127, 128, 129, 1000, 4097, 100_003):
+            self._check(rng.standard_normal(size) * 10.0 ** rng.integers(-5, 6))
+            self._check(np.exp(3.0 * rng.standard_normal(size)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fewer_than_the_divergent_limit_are_dropped(self, bad):
+        rng = np.random.default_rng(7)
+        values = rng.exponential(size=20_000)
+        values[rng.choice(values.size, 20, replace=False)] = bad
+        est = self._check(values)
+        assert (est.n, est.n_divergent) == (19_980, 20)
+
+    @pytest.mark.parametrize("values", [
+        [1e308, 1e308, 2.0],
+        [1e308, 1e308, -1e308, -1e308],
+        # Pairwise partial sums of +inf and -inf: the sum is nan.
+        ([1.7e308] * 4 + [-1.7e308] * 4) * 2,
+        np.full(1000, 1e306),
+    ], ids=["over", "over_then_back", "pairwise_nan", "many"])
+    def test_finite_entries_whose_sum_overflows(self, values):
+        values = np.array(values, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(np.add.reduce(values))
+        est = self._check(values)
+        assert est.n_divergent == 0
+
+    def test_one_path(self):
+        assert self._check(np.array([2.5])) == Estimate(2.5, 0.0, 1, 0)
+
+    @pytest.mark.parametrize("n_bad", [2, 7])
+    def test_beyond_the_divergent_limit_raises_with_counts(self, n_bad):
+        values = np.ones(1000)
+        values[:n_bad] = math.inf
+        with pytest.raises(DivergenceError) as info:
+            simulate._estimate_from_values(values, values.size)
+        assert (info.value.n_divergent, info.value.n_total) == (n_bad, 1000)
+
+    def test_one_non_finite_path_alone_raises(self):
+        with pytest.raises(DivergenceError) as info:
+            simulate._estimate_from_values(np.array([math.nan]), 1)
+        assert (info.value.n_divergent, info.value.n_total) == (1, 1)
+
+
+def test_workers_fill_their_own_slices_under_contention():
+    # More workers than cores and a short switch interval, so the workers'
+    # copies into the shared value array interleave; a lost or misplaced
+    # batch breaks the equality.
+    n_paths, result = 10_007, []
+
+    def run():
+        result.append(simulate._parallel_values(
+            n_paths, 13, 8, lambda lo, hi: np.arange(lo, hi) * 2.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert np.array_equal(result[0], np.arange(n_paths) * 2.0)
